@@ -1,76 +1,3 @@
 """Equivariant Dehn-surgery calculus for genus-1 real 3-manifolds."""
 
-from .contact import (
-    ContactDiagram,
-    ContactKnotData,
-    Illegal,
-    IllegalReason,
-    Slope,
-    TightnessHint,
-    contact_coefficient,
-    contact_glueback,
-    legalize,
-    thurston_bennequin,
-    tight_solid_torus_exists,
-    tw_wrt_heegaard,
-)
-from .contfrac import BadInput, ContFrac, Flavor, expand, honda_count, is_palindrome
-from .lens import (
-    BuildReport,
-    CatalogEntry,
-    ChainReport,
-    InadmissiblePair,
-    LensTarget,
-    Variant,
-    admissible_pairs,
-    build,
-    catalog_rp3,
-    catalog_s1xs2,
-    factor_C,
-    factor_Cprime,
-    type_A_chain,
-)
-from .matrices import (
-    CurveClass,
-    IntMatrix,
-    NotPrimitive,
-    NotUnimodular,
-    SymplecticForm,
-    is_anti_symplectic,
-    is_involution,
-    transvection,
-)
-from .surgery import (
-    SurgeryDiagram,
-    SurgeryKnot,
-    SurgerySpec,
-    TorusType,
-    extension_type,
-    fix_delta,
-    heegaard_minus_seifert,
-    surgery_type_label,
-    word_to_diagram,
-)
-from .words import (
-    CST,
-    CURVE_A,
-    CURVE_AMB,
-    CURVE_APB,
-    CURVE_B,
-    EquivariantShape,
-    ShapeError,
-    TwistFactor,
-    TwistWord,
-    WordError,
-    apply_fix_rule,
-    eval_word,
-    factor_palindrome,
-    find_fix_rule,
-    format_word,
-    parse_word,
-    validate_equivariant_shape,
-    validate_recursive_invariance,
-    verify_relations,
-)
-
 __version__ = "0.1.0"

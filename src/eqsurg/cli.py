@@ -17,7 +17,6 @@ from .lens import (
     Variant,
     admissible_pairs,
     build,
-    case_label,
     catalog_rp3,
     catalog_s1xs2,
     type_A_chain,
@@ -92,19 +91,7 @@ def cmd_census(args) -> int:
         for variant in (Variant.C, Variant.C_PRIME):
             report = build(p, q, variant)
             ok = ok and report.matrix_ok and report.shape_ok
-            rows.append(
-                {
-                    "p": p,
-                    "q": q,
-                    "variant": variant.value,
-                    "case": case_label(p, q),
-                    "matrix_ok": report.matrix_ok,
-                    "shape_ok": report.shape_ok,
-                    "legal": report.legal,
-                    "fix_rule_applied": report.fix_rule_applied,
-                    "flags": report.flags,
-                }
-            )
+            rows.append(report.census_row())
     summary = {
         "rows": len(rows),
         "matrix_ok": sum(r["matrix_ok"] for r in rows),
@@ -162,6 +149,8 @@ def _parse_matrix(text: str) -> IntMatrix:
 
 def cmd_verify(args) -> int:
     if args.relations:
+        if args.max_exp is not None and args.max_exp < 1:
+            raise UsageError("--max-exp must be at least 1")
         report = verify_relations(args.max_exp)
         ok = all(r["ok"] for r in report)
         doc = {"relations": report, "all_ok": ok}

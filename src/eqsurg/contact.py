@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Optional, Union
@@ -208,7 +208,6 @@ def _legalize_invariant(knot: SurgeryKnot) -> ContactKnotData:
     tb = thurston_bennequin(knot.curve)
     cc = contact_coefficient(knot.coeff, tw)
     ttype = knot.role.torus_type
-    notes: list[str] = []
     if ttype is TorusType.C3:
         return ContactKnotData(tw, tb, cc, Illegal(IllegalReason.C3_KNOT), False)
     q = _unit_fraction_den(cc)
@@ -225,13 +224,11 @@ def _legalize_invariant(knot: SurgeryKnot) -> ContactKnotData:
                 IllegalReason.NOT_UNIT_NUMERATOR,
                 f"contact coefficient {cc} is not of the form 1/q",
             )
-        return ContactKnotData(tw, tb, cc, verdict, False, tuple(notes))
-    # Canonical glue-back uses p' = 0; branches depending on p' parity are
-    # recorded as notes rather than resolved.
+        return ContactKnotData(tw, tb, cc, verdict, False)
+    # Canonical glue-back uses p' = 0; the branches that depend on the
+    # parity of p' are neither resolved nor recorded.
     gb = contact_glueback(ttype, q, 0)
-    if isinstance(gb, Illegal):
-        return ContactKnotData(tw, tb, cc, gb, False, tuple(notes))
-    return ContactKnotData(tw, tb, cc, gb, True, tuple(notes))
+    return ContactKnotData(tw, tb, cc, gb, not isinstance(gb, Illegal))
 
 
 @functools.lru_cache(maxsize=4096)

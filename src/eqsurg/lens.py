@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
+from math import gcd
 from typing import Iterator, Optional
 
 from .contact import ContactDiagram, TightnessHint, legalize
@@ -62,8 +63,6 @@ class LensTarget:
         p, q = self.p, self.q
         if not (p > q > 0):
             raise InadmissiblePair(f"need p > q > 0, got ({p}, {q})")
-        from math import gcd
-
         if gcd(p, q) != 1:
             raise InadmissiblePair(f"({p}, {q}) are not coprime")
         if (q * q) % p != 1 % p:
@@ -84,8 +83,6 @@ class LensTarget:
 
 def admissible_pairs(max_p: int) -> list[tuple[int, int]]:
     """All (p, q) with 2 <= p <= max_p, 0 < q < p, gcd 1, q^2 = 1 mod p."""
-    from math import gcd
-
     return [
         (p, q)
         for p in range(2, max_p + 1)
@@ -146,23 +143,30 @@ def _factor(terms: tuple[int, ...], prime: bool) -> TwistWord:
     return TwistWord.of(factors, base=CST)
 
 
+def _word(target: LensTarget) -> tuple[ContFrac, TwistWord]:
+    """Expand p/q and factor the target's gluing involution into a mirrored word."""
+    cf = expand(target.p, target.q, Flavor.POSITIVE)
+    return cf, _factor(cf.terms, prime=target.variant is Variant.C_PRIME)
+
+
 def factor_C(p: int, q: int) -> TwistWord:
     """Mirrored twist word for the + gluing involution of L(p,q)."""
-    target = LensTarget(p, q, Variant.C)
-    cf = expand(p, q, Flavor.POSITIVE)
-    return _factor(cf.terms, prime=False)
+    return _word(LensTarget(p, q, Variant.C))[1]
 
 
 def factor_Cprime(p: int, q: int) -> TwistWord:
     """Mirrored twist word for the - gluing involution of L(p,q)."""
-    target = LensTarget(p, q, Variant.C_PRIME)
-    cf = expand(p, q, Flavor.POSITIVE)
-    return _factor(cf.terms, prime=True)
+    return _word(LensTarget(p, q, Variant.C_PRIME))[1]
 
 
-def case_label(p: int, q: int) -> str:
-    n = len(expand(p, q, Flavor.POSITIVE))
-    return f"n={n} (4k+{n % 4})"
+def assemble(word: TwistWord) -> tuple[SurgeryDiagram, ContactDiagram]:
+    """Shape, surgery diagram and contact verdicts of a word; raises ShapeError.
+
+    The verdicts note that the fix rule applies when the word contains
+    the rewrite pattern a^-1 (a+b)^1 b^-1.
+    """
+    diagram = word_to_diagram(validate_equivariant_shape(word))
+    return diagram, legalize(diagram, fix_rule_available=find_fix_rule(word) is not None)
 
 
 @dataclass(frozen=True)
@@ -184,6 +188,21 @@ class BuildReport:
     @property
     def flags(self) -> list[str]:
         return [] if self.contact is None else self.contact.flags()
+
+    def census_row(self) -> dict:
+        """The verdicts without the diagrams, plus the expansion case n = 4k + r."""
+        n = len(self.cf)
+        return {
+            "p": self.target.p,
+            "q": self.target.q,
+            "variant": self.target.variant.value,
+            "case": f"n={n} (4k+{n % 4})",
+            "matrix_ok": self.matrix_ok,
+            "shape_ok": self.shape_ok,
+            "legal": self.legal,
+            "fix_rule_applied": self.fix_rule_applied,
+            "flags": self.flags,
+        }
 
     def to_json_dict(self) -> dict:
         return {
@@ -211,24 +230,14 @@ def build(p: int, q: int, variant: Variant) -> BuildReport:
     diagram is illegal, the rewrite is applied and the diagram rebuilt.
     """
     target = LensTarget(p, q, variant)
-    cf = expand(p, q, Flavor.POSITIVE)
+    cf, word = _word(target)
     palindrome = is_palindrome(cf)
-    word = _factor(cf.terms, prime=variant is Variant.C_PRIME)
     matrix_ok = eval_word(word) == target.matrix
-    fix_applied = False
-
-    def assemble(w: TwistWord):
-        shape = validate_equivariant_shape(w)
-        diagram = word_to_diagram(shape)
-        contact = legalize(diagram, fix_rule_available=find_fix_rule(w) is not None)
-        return diagram, contact
-
     try:
         diagram, contact = assemble(word)
-        shape_ok = True
     except ShapeError:
         return BuildReport(target, cf, palindrome, word, matrix_ok, False, False, None, None)
-
+    fix_applied = False
     if not contact.overall_legal and find_fix_rule(word) is not None:
         fixed = apply_fix_rule(word)
         if eval_word(fixed) == target.matrix:
@@ -237,7 +246,7 @@ def build(p: int, q: int, variant: Variant) -> BuildReport:
             fix_applied = True
             diagram, contact = assemble(word)
     return BuildReport(
-        target, cf, palindrome, word, matrix_ok, shape_ok, fix_applied, diagram, contact
+        target, cf, palindrome, word, matrix_ok, True, fix_applied, diagram, contact
     )
 
 
@@ -258,9 +267,7 @@ class CatalogEntry:
         return eval_word(self.word) == self.expected_matrix
 
     def diagrams(self) -> tuple[SurgeryDiagram, ContactDiagram]:
-        shape = validate_equivariant_shape(self.word)
-        d = word_to_diagram(shape)
-        return d, legalize(d)
+        return assemble(self.word)
 
     def to_json_dict(self) -> dict:
         d, c = self.diagrams()
@@ -356,6 +363,4 @@ def type_A_chain(p: int, q: int) -> ChainReport:
     The number of stabilization assignments equals |prod(r_i + 1)|.
     """
     cf = expand(p, q, Flavor.NEGATIVE)
-    count = honda_count(cf)
-    report = ChainReport(p, q, cf.terms, count)
-    return report
+    return ChainReport(p, q, cf.terms, honda_count(cf))

@@ -62,7 +62,6 @@ class IntMatrix:
             raise DimensionMismatch(
                 f"cannot multiply {self.dim}x{self.dim} by {other.dim}x{other.dim}"
             )
-        n = self.dim
         cols = list(zip(*other.rows))
         return IntMatrix(
             tuple(
@@ -201,14 +200,6 @@ class SymplecticForm:
         if len(x) != 2 * g or len(y) != 2 * g:
             raise DimensionMismatch("vector length does not match form genus")
         return sum(x[i] * y[g + i] - x[g + i] * y[i] for i in range(g))
-
-
-def multiply(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    return a @ b
-
-
-def invert(a: IntMatrix) -> IntMatrix:
-    return a.inverse()
 
 
 def is_involution(a: IntMatrix) -> bool:

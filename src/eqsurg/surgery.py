@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .matrices import CurveClass, IntMatrix
+from .matrices import CurveClass
 from .words import CST, EquivariantShape, curve_name
 
 
@@ -293,10 +293,10 @@ def word_to_diagram(shape: EquivariantShape, ambient: str = "S3_cst") -> Surgery
     """Leveled surgery link realizing the equivariant product.
 
     Outer factor (gamma, sigma) becomes a mirrored knot pair on levels
-    -i/+i with surface-framed coefficient -sigma on both; each unit
-    middle factor (gamma, e) becomes an invariant knot at level 0 with
-    coefficient e.  Knot types of invariant curves come from the built-in
-    genus-1 table for the standard involution.
+    -i/+i with surface-framed coefficient -sigma on both; each middle
+    run (gamma, m) becomes |m| parallel invariant knots at level 0 with
+    coefficient sign(m).  Knot types of invariant curves come from the
+    built-in genus-1 table for the standard involution.
     """
     if shape.base != CST:
         raise SurgeryError("diagram emission currently supports the standard base only")
@@ -309,16 +309,11 @@ def word_to_diagram(shape: EquivariantShape, ambient: str = "S3_cst") -> Surgery
         knots.append(
             SurgeryKnot(level, shape.mirror[idx], coeff, PairRole(level, True), ("5",))
         )
-    # parallel middle copies are identical immutable values; build each once
-    runs: list[list] = []
+    # parallel copies are identical immutable values; build each run's knot once
     for curve, exp in shape.middle:
-        if runs and runs[-1][0] == (curve, exp):
-            runs[-1][1] += 1
-        else:
-            runs.append([(curve, exp), 1])
-    for (curve, exp), count in runs:
         tt = knot_type_under_cst(curve)
-        labels = type_labels_for_coeff(tt, exp)
-        knot = SurgeryKnot(0, curve, Fraction(exp), InvariantRole(tt), labels)
-        knots.extend([knot] * count)
+        unit = 1 if exp > 0 else -1
+        labels = type_labels_for_coeff(tt, unit)
+        knot = SurgeryKnot(0, curve, Fraction(unit), InvariantRole(tt), labels)
+        knots.extend([knot] * abs(exp))
     return SurgeryDiagram(ambient, tuple(knots))

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .matrices import (
@@ -68,6 +68,8 @@ class TwistWord:
     genus: int = 1
 
     def __post_init__(self):
+        if self.genus < 1:
+            raise WordError(f"genus must be at least 1, got {self.genus}")
         form = SymplecticForm(self.genus)
         for f in self.factors:
             if f.curve.genus != self.genus:
@@ -115,7 +117,10 @@ def format_word(w: TwistWord) -> str:
     return text
 
 
-_FACTOR_RE = re.compile(r"^\(?(?P<curve>[^()^]+)\)?(?:\^(?P<exp>-?\d+))?$")
+# A curve name, bare or in balanced parentheses, then an optional exponent.
+_FACTOR_RE = re.compile(
+    r"^(?P<open>\()?(?P<curve>[^()^]+)(?(open)\))(?:\^(?P<exp>-?\d+))?$"
+)
 
 
 def parse_word(text: str, genus: int = 1,
@@ -151,8 +156,10 @@ def parse_word(text: str, genus: int = 1,
         cname = m.group("curve").strip()
         exp = int(m.group("exp")) if m.group("exp") is not None else 1
         if cname.startswith("v[") and cname.endswith("]"):
-            coords = [int(x) for x in cname[2:-1].split(",")]
-            curve = CurveClass.from_coords(coords)
+            try:
+                curve = CurveClass.from_coords([int(x) for x in cname[2:-1].split(",")])
+            except ValueError as exc:  # non-integer entry, odd length, or not primitive
+                raise WordError(f"bad curve vector {cname!r}: {exc}") from None
         elif cname in _GENUS1_CURVES:
             if genus != 1:
                 raise WordError(f"named curve {cname!r} is only defined at genus 1")
@@ -235,8 +242,10 @@ def verify_relations(max_exp: Optional[int] = None) -> list[dict]:
 
 @dataclass(frozen=True)
 class EquivariantShape:
-    """Parsed mirrored word: outer f-part, unit-exponent invariant middle.
+    """Parsed mirrored word: outer f-part and invariant middle.
 
+    `middle` holds the word's middle factors as they are: (curve, m)
+    stands for a run of |m| parallel twists of sign m along the curve.
     `mirror[i]` is the curve of the factor paired with `outer[i]`, i.e.
     the image of outer[i]'s curve under the base involution.
     """
@@ -257,8 +266,8 @@ def validate_equivariant_shape(w: TwistWord) -> EquivariantShape:
 
     Mirrored factors must carry the base-image curve and the same
     exponent; middle curves must be base-invariant (up to sign) and
-    pairwise disjoint at homology level.  Middle factors of exponent m
-    are expanded into |m| unit-exponent factors (parallel copies).
+    pairwise disjoint at homology level.  Middle factors are kept as
+    runs (curve, m); `word_to_diagram` expands each into |m| knots.
     """
     if w.base is None:
         raise ShapeError("equivariant shape requires a base involution")
@@ -302,11 +311,8 @@ def validate_equivariant_shape(w: TwistWord) -> EquivariantShape:
         if error is None:
             outer = tuple((f.curve, f.exponent) for f in fs[:t])
             mirror = tuple(fs[n - 1 - i].curve for i in range(t))
-            middle = []
-            for f in mid:
-                unit = 1 if f.exponent > 0 else -1
-                middle.extend([(f.curve, unit)] * abs(f.exponent))
-            return EquivariantShape(outer, tuple(middle), mirror, w.base, w.genus)
+            middle = tuple((f.curve, f.exponent) for f in mid)
+            return EquivariantShape(outer, middle, mirror, w.base, w.genus)
         if first_error is None:
             first_error = error
     raise ShapeError(first_error or "word is not an equivariant product")
@@ -314,10 +320,6 @@ def validate_equivariant_shape(w: TwistWord) -> EquivariantShape:
 
 # ---------------------------------------------------------------------------
 # Recursive invariance
-
-
-def _up_to_sign(x: CurveClass, y: CurveClass) -> bool:
-    return x == y  # CurveClass is already sign-normalized
 
 
 def validate_recursive_invariance(w: TwistWord, s: IntMatrix) -> dict:
@@ -339,7 +341,7 @@ def validate_recursive_invariance(w: TwistWord, s: IntMatrix) -> dict:
     while j < len(seq):
         f = seq[j]
         image = f.curve.image_under(current)
-        if _up_to_sign(image, f.curve):
+        if image == f.curve:  # CurveClass is sign-normalized
             current = transvection(f.curve, f.exponent, form) @ current
             inv_ok = is_involution(current)
             entries.append(
@@ -362,7 +364,7 @@ def validate_recursive_invariance(w: TwistWord, s: IntMatrix) -> dict:
             ok_pair = (
                 g.exponent == f.exponent
                 and form.pairing(f.curve.coords, g.curve.coords) == 0
-                and _up_to_sign(image, g.curve)
+                and image == g.curve
             )
         if ok_pair:
             g = seq[j + 1]
@@ -423,13 +425,15 @@ def factor_palindrome(
     if not curves:
         raise WordError("palindrome factorization needs at least one curve")
     genus = curves[0].genus
+    if s.genus != genus:
+        raise WordError(f"s acts at genus {s.genus} but the curves lie at genus {genus}")
     form = SymplecticForm(genus)
     if not is_involution(s) or not is_anti_symplectic(s, form):
         raise WordError("s must be an anti-symplectic involution")
     prefix = IntMatrix.identity(2 * genus)
     squared: list[tuple[CurveClass, int]] = []
     for a_j, sigma in zip(curves, exps):
-        if not _up_to_sign(a_j.image_under(s), a_j):
+        if a_j.image_under(s) != a_j:
             raise WordError(f"input curve {curve_name(a_j)} is not invariant under s")
         r_j = a_j.image_under(prefix)  # primitive: prefix is unimodular
         squared.append((r_j, 2 * sigma))

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from eqsurg.cli import main
 
@@ -110,9 +114,107 @@ def test_verify_relations_respects_env(capsys, monkeypatch):
     assert any("X_3" in r["relation"] for r in doc["relations"])
 
 
-def test_verify_malformed_word(capsys):
-    code, _, err = run(capsys, "verify", "--word", "a^^2")
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("--word", "a^^2"),
+        ("--word", "(a+b^2"),
+        ("--word", "a+b)^2"),
+        ("--word", "v[2,0]"),
+        ("--word", "v[0,0]"),
+        ("--word", "v[1,x]"),
+        ("--word", "v[1,0,0]"),
+        ("--word", "1", "--genus", "0"),
+    ],
+    ids=[
+        "double-caret",
+        "unclosed-paren",
+        "unopened-paren",
+        "non-primitive",
+        "zero-vector",
+        "non-integer",
+        "odd-length",
+        "genus-0",
+    ],
+)
+def test_verify_malformed_word(capsys, args):
+    code, _, err = run(capsys, "verify", *args)
     assert code == 64
+    assert err.startswith("usage error:")
+
+
+def test_verify_relations_rejects_max_exp_below_one(capsys):
+    # a range of exponents that is empty would pass vacuously
+    for max_exp in ("0", "-5"):
+        code, out, err = run(capsys, "verify", "--relations", "--max-exp", max_exp)
+        assert (code, out) == (64, "")
+        assert err.startswith("usage error:")
+
+
+def _option(flag, values):
+    return st.tuples(st.just(flag), values)
+
+
+# Small integers only: `lens --p P --q 1` builds about P knots, and a large
+# genus makes a large identity matrix.  Garbage holds no digits, so it never
+# parses as an integer, and no `/`, so it never names a device file.
+_INT = st.integers(-3, 200).map(str)
+_GENUS = st.integers(-2, 3).map(str)
+_GARBAGE = st.text(
+    st.characters(blacklist_categories=("Nd", "Cs"), blacklist_characters="/\x00"),
+    max_size=6,
+).map(lambda t: (t,))
+_WORDS = st.sampled_from(
+    ["a^2 b^-1 | cst", "(a+b)^3", "v[1,0,2,-1]^2", "v[1,0,1,0]", "v[2,0]", "(a+b",
+     "a^^2", "1", "a^1 | base", "a | nonsense", ""]
+)
+_FORMAT = _option("--format", st.sampled_from(["json", "text", "xml"]))
+_OPTIONS = {
+    "verify": [
+        _option("--word", _WORDS),
+        _option("--expect", st.sampled_from(["[[1,0],[0,1]]", "[[1]]", "null", "[[0,1]"])),
+        _option("--genus", _GENUS),
+        st.just(("--relations",)),
+        _option("--max-exp", st.integers(-3, 4).map(str)),
+    ],
+    "factor-palindrome": [
+        _option("--curves", _WORDS),
+        _option("--genus", _GENUS),
+        _option("--involution", st.sampled_from(["cst", "missing.json", "."])),
+    ],
+    "lens": [
+        _option("--p", _INT),
+        _option("--q", _INT),
+        _option("--variant", st.sampled_from(["C", "C'", "D"])),
+    ],
+    "catalog": [
+        st.sampled_from([("typeA",), ("s1xs2",), ("rp3",), ("bogus",)]),
+        _option("--p", _INT),
+        _option("--q", _INT),
+    ],
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    pieces = draw(st.lists(st.one_of(*_OPTIONS[command], _FORMAT, _GARBAGE), max_size=6))
+    return [command] + [token for piece in pieces for token in piece]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_argv())
+@example(["factor-palindrome", "--curves", "v[1,0,1,0]", "--genus", "2"])
+@example(["verify", "--word", "v[1,0,0]", "--genus", "0"])
+def test_cli_fuzz_exits_with_documented_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's --help
+            code = exc.code
+    assert code in (0, 1, 2, 64), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
 
 
 def test_factor_palindrome_cst(capsys):

@@ -1,0 +1,38 @@
+"""Byte-identical CLI output: sha256 digests of stdout for fixed commands.
+
+The digests pin the output of the JSON and text renderers; a change that
+alters any byte of these outputs must update them on purpose.
+"""
+
+import hashlib
+
+import pytest
+
+from eqsurg.cli import main
+
+GOLDEN = [
+    ("census --max-p 60", "aff161387035ad899c293308a3c5e21e3de08baca2f5b1da3eaa0ef1c25e7bcc"),
+    ("census --max-p 30 --format text",
+     "ef33e5ea88c01815574db1e16fad3b06637d53fc53e277028680ba00c7bab636"),
+    ("catalog s1xs2", "a3708e999e2c61015b8324579b5c2108708120db3c129879ce75d50faedfb568"),
+    ("catalog rp3", "4d677c47209ccbcc138e002a5d179787b941e66b95a5ffd0cca10ab33178da01"),
+    ("catalog typeA --p 7 --q 2",
+     "ff88e71ee47e1b43b9f6314603805a1ab9326f595aa74bd04c055ffd058b5bf8"),
+    ("lens --p 499 --q 1 --variant C",
+     "22bd298e600529b72ed587298b39e1b755da32c8b1e04c5b435f265c65b9665c"),
+    ("lens --p 499 --q 1 --variant C'",
+     "f5c4615fc2d2bab553ca6f94f4b2419c4337e47f7e764ef34b577788b83cd23f"),
+    ("lens --p 29 --q 28 --variant C'",
+     "9f3c88634ce6276c60a4f28547efe497ca30eadd01a3ec0a21b1d5ff2b1fa149"),
+    ("lens --p 2 --q 1 --format text",
+     "82953f153bc33ab58c48c914572f44b5b4e96be8dfb41768f9af063eaa0369d9"),
+    ("lens --p 4 --q 3 --format text",
+     "0768bafa605e71ab8bf745b3cc434c466bc768bf61f4327ec671858abc23da89"),
+]
+
+
+@pytest.mark.parametrize("command, digest", GOLDEN, ids=[c for c, _ in GOLDEN])
+def test_stdout_digest(capsys, command, digest):
+    assert main(command.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

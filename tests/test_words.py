@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eqsurg.matrices import CurveClass, IntMatrix, SymplecticForm, transvection
+from eqsurg.surgery import word_to_diagram
 from eqsurg.words import (
     CST,
     CURVE_A,
@@ -26,7 +27,7 @@ from eqsurg.words import (
     verify_relations,
 )
 
-from conftest import random_anti_symplectic, random_invariant_curve
+from conftest import primitive, random_anti_symplectic, random_invariant_curve
 
 
 def tw(*factors, base=None):
@@ -61,6 +62,23 @@ def test_parse_format_roundtrip():
     assert format_word(parse_word(text)) == text
     text2 = "a^-1 (a+b)^1 b^-1 | cst"
     assert format_word(parse_word(text2)) == text2
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_parse_format_roundtrip_random(data):
+    genus = data.draw(st.integers(min_value=1, max_value=3))
+    coords = st.lists(st.integers(-3, 3), min_size=2 * genus, max_size=2 * genus)
+    factors = data.draw(
+        st.lists(
+            st.tuples(coords.filter(any).map(primitive), st.integers(-4, 4).filter(bool)),
+            max_size=6,
+        )
+    )
+    other = random_anti_symplectic(genus, random.Random(data.draw(st.integers(0, 10**6))))
+    base = data.draw(st.sampled_from([None, other] + ([CST] if genus == 1 else [])))
+    w = TwistWord.of(factors, base=base, genus=genus)
+    assert parse_word(format_word(w), genus=genus, base_matrix=other) == w
 
 
 def test_parse_vector_curves():
@@ -105,8 +123,10 @@ def test_shape_with_invariant_middle():
     w = parse_word("a^-1 (a+b)^3 b^-1 | cst")
     shape = validate_equivariant_shape(w)
     assert len(shape.outer) == 1
-    # exponent 3 expands into three unit copies
-    assert shape.middle == ((CURVE_APB, 1),) * 3
+    # the middle keeps the run (a+b)^3; the diagram expands it into three knots
+    assert shape.middle == ((CURVE_APB, 3),)
+    middle = word_to_diagram(shape).invariant_knots()
+    assert [(k.level, k.coeff) for k in middle] == [(0, 1)] * 3
 
 
 def test_shape_requires_base():
