@@ -47,11 +47,20 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# Python's int/str digit limit guards against quadratic conversions; a
+# result past it is reported, not printed.
+_TOO_LONG = "the result holds an integer too long to print"
+
+
 def _emit(doc: dict, fmt: str, text_renderer=None) -> None:
-    if fmt == "json":
-        print(json.dumps(doc, indent=2))
-    else:
-        print(text_renderer() if text_renderer else json.dumps(doc, indent=2))
+    try:
+        if fmt == "text" and text_renderer:
+            out = text_renderer()
+        else:
+            out = json.dumps(doc, indent=2)
+    except ValueError:  # an integer past the digit limit
+        raise UsageError(_TOO_LONG) from None
+    print(out)
 
 
 def cmd_lens(args) -> int:
@@ -204,11 +213,14 @@ def cmd_factor_palindrome(args) -> int:
     except WordError as exc:
         print(f"inadmissible: {exc}", file=sys.stderr)
         return EXIT_INADMISSIBLE
-    doc = {
-        "input": format_word(word),
-        "output": format_word(result),
-        "matrix": eval_word(result).to_lists(),
-    }
+    try:
+        doc = {
+            "input": format_word(word),
+            "output": format_word(result),
+            "matrix": eval_word(result).to_lists(),
+        }
+    except ValueError:  # a curve coordinate past the digit limit
+        raise UsageError(_TOO_LONG) from None
     _emit(doc, args.format)
     return EXIT_OK
 

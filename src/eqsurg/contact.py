@@ -9,11 +9,9 @@ and promotes a SurgeryDiagram to a ContactDiagram with per-knot verdicts.
 from __future__ import annotations
 
 import enum
-import functools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
-from typing import Optional, Union
+from typing import Union
 
 from .matrices import CurveClass
 from .surgery import (
@@ -21,7 +19,6 @@ from .surgery import (
     SurgeryDiagram,
     SurgeryKnot,
     TorusType,
-    format_rational,
     heegaard_minus_seifert,
 )
 
@@ -121,9 +118,9 @@ def thurston_bennequin(curve: CurveClass) -> int:
     return tw_wrt_heegaard(curve) + heegaard_minus_seifert(curve)
 
 
-def contact_coefficient(smooth_coeff_h: Fraction, tw_h: int) -> Fraction:
+def contact_coefficient(smooth_coeff_h: int, tw_h: int) -> int:
     """Contact surgery coefficient from a surface-framed smooth one."""
-    return Fraction(smooth_coeff_h) - tw_h
+    return smooth_coeff_h - tw_h
 
 
 class TightnessHint(enum.Enum):
@@ -136,7 +133,7 @@ class TightnessHint(enum.Enum):
 class ContactKnotData:
     tw_h: int
     tb: int
-    contact_coeff: Fraction
+    contact_coeff: int
     glue_back: Union[TorusType, Illegal, None]  # None for pair knots
     legal: bool
     notes: tuple[str, ...] = ()
@@ -151,7 +148,7 @@ class ContactKnotData:
         return {
             "tw": self.tw_h,
             "tb": self.tb,
-            "coeff": format_rational(self.contact_coeff),
+            "coeff": f"{self.contact_coeff:+d}",
             "glue_back": gb,
             "legal": self.legal,
             "notes": list(self.notes),
@@ -193,50 +190,35 @@ class ContactDiagram:
         return "\n".join(lines)
 
 
-def _unit_fraction_den(x: Fraction) -> Optional[int]:
-    """q with x = 1/q (q may be negative), or None."""
-    if x == 0:
-        return None
-    if abs(x.numerator) != 1:
-        return None
-    return x.denominator * (1 if x.numerator > 0 else -1)
-
-
-@functools.lru_cache(maxsize=4096)
-def _legalize_invariant(knot: SurgeryKnot) -> ContactKnotData:
+def _knot_data(knot: SurgeryKnot, fix_rule_available: bool) -> ContactKnotData:
     tw = tw_wrt_heegaard(knot.curve)
     tb = thurston_bennequin(knot.curve)
     cc = contact_coefficient(knot.coeff, tw)
+    if not isinstance(knot.role, InvariantRole):
+        return ContactKnotData(tw, tb, cc, None, True)
     ttype = knot.role.torus_type
     if ttype is TorusType.C3:
-        return ContactKnotData(tw, tb, cc, Illegal(IllegalReason.C3_KNOT), False)
-    q = _unit_fraction_den(cc)
-    if q is None:
-        if cc == 0:
-            verdict = Illegal(IllegalReason.NO_SLOPE, "contact coefficient 0")
-        elif ttype is TorusType.C4 and cc > 0:
-            verdict = Illegal(
-                IllegalReason.POSITIVE_C4_MIDDLE,
-                f"contact coefficient {cc} on a c4-knot has no equivariant realization",
-            )
-        else:
-            verdict = Illegal(
-                IllegalReason.NOT_UNIT_NUMERATOR,
-                f"contact coefficient {cc} is not of the form 1/q",
-            )
-        return ContactKnotData(tw, tb, cc, verdict, False)
-    # Canonical glue-back uses p' = 0; the branches that depend on the
-    # parity of p' are neither resolved nor recorded.
-    gb = contact_glueback(ttype, q, 0)
-    return ContactKnotData(tw, tb, cc, gb, not isinstance(gb, Illegal))
-
-
-@functools.lru_cache(maxsize=4096)
-def _pair_data(curve: CurveClass, coeff: Fraction) -> ContactKnotData:
-    tw = tw_wrt_heegaard(curve)
-    tb = thurston_bennequin(curve)
-    cc = contact_coefficient(coeff, tw)
-    return ContactKnotData(tw, tb, cc, None, True)
+        verdict = Illegal(IllegalReason.C3_KNOT)
+    elif cc in (1, -1):
+        # An integer is 1/q only for q = cc.  Canonical glue-back uses
+        # p' = 0; the branches that depend on the parity of p' are
+        # neither resolved nor recorded.
+        verdict = contact_glueback(ttype, cc, 0)
+    elif cc == 0:
+        verdict = Illegal(IllegalReason.NO_SLOPE, "contact coefficient 0")
+    elif ttype is TorusType.C4 and cc > 0:
+        verdict = Illegal(
+            IllegalReason.POSITIVE_C4_MIDDLE,
+            f"contact coefficient {cc} on a c4-knot has no equivariant realization",
+        )
+    else:
+        verdict = Illegal(
+            IllegalReason.NOT_UNIT_NUMERATOR,
+            f"contact coefficient {cc} is not of the form 1/q",
+        )
+    legal = not isinstance(verdict, Illegal)
+    notes = ("fix rule applicable",) if not legal and fix_rule_available else ()
+    return ContactKnotData(tw, tb, cc, verdict, legal, notes)
 
 
 def legalize(d: SurgeryDiagram, fix_rule_available: bool = False) -> ContactDiagram:
@@ -249,20 +231,10 @@ def legalize(d: SurgeryDiagram, fix_rule_available: bool = False) -> ContactDiag
     a^-1 (a+b)^1 b^-1, the verdict notes that the rewrite applies.
     """
     data: list[ContactKnotData] = []
+    last = None
     for knot in d.knots:
-        if isinstance(knot.role, InvariantRole):
-            entry = _legalize_invariant(knot)
-            if not entry.legal and fix_rule_available:
-                entry = ContactKnotData(
-                    entry.tw_h,
-                    entry.tb,
-                    entry.contact_coeff,
-                    entry.glue_back,
-                    entry.legal,
-                    entry.notes + ("fix rule applicable",),
-                )
-            data.append(entry)
-        else:
-            data.append(_pair_data(knot.curve, knot.coeff))
+        if knot is not last:  # a middle run repeats one knot object
+            last, entry = knot, _knot_data(knot, fix_rule_available)
+        data.append(entry)
     overall = all(e.legal for e in data)
     return ContactDiagram(d, tuple(data), overall)

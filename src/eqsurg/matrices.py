@@ -8,7 +8,6 @@ anywhere.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -69,6 +68,22 @@ class IntMatrix:
                 for row in self.rows
             )
         )
+
+    def twist(self, curve: CurveClass, power: int) -> "IntMatrix":
+        """self @ T, where T is the homology action of tau_curve^power.
+
+        T = I + power * c w^T with w_j = <c, e_j>, so each row gains
+        power * (row . c) times w: a rank-1 update, no T is built.
+        """
+        if curve.genus != self.genus:
+            raise DimensionMismatch("curve genus does not match matrix genus")
+        c, g = curve.coords, self.genus
+        w = tuple(-x for x in c[g:]) + c[:g]
+        rows = []
+        for row in self.rows:
+            k = power * sum(a * b for a, b in zip(row, c))
+            rows.append(tuple(x + k * y for x, y in zip(row, w)))
+        return IntMatrix(tuple(rows))
 
     def __neg__(self) -> "IntMatrix":
         return IntMatrix(tuple(tuple(-x for x in row) for row in self.rows))
@@ -214,21 +229,7 @@ def transvection(curve: CurveClass, power: int, form: SymplecticForm) -> IntMatr
     """
     if curve.genus != form.genus:
         raise DimensionMismatch("curve genus does not match form genus")
-    return _transvection_cached(curve, power, form.genus)
-
-
-@functools.lru_cache(maxsize=4096)
-def _transvection_cached(curve: CurveClass, power: int, genus: int) -> IntMatrix:
-    form = SymplecticForm(genus)
-    n = form.dim
-    gamma = curve.coords
-    # row vector j |-> <gamma, e_j>
-    weights = [form.pairing(gamma, tuple(int(j == k) for k in range(n))) for j in range(n)]
-    rows = [
-        [int(i == j) + power * gamma[i] * weights[j] for j in range(n)]
-        for i in range(n)
-    ]
-    return IntMatrix.from_rows(rows)
+    return IntMatrix.identity(form.dim).twist(curve, power)
 
 
 def is_anti_symplectic(a: IntMatrix, form: SymplecticForm | None = None) -> bool:

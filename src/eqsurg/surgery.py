@@ -9,7 +9,6 @@ equivariant twist word into a leveled surgery diagram.
 from __future__ import annotations
 
 import enum
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -95,7 +94,6 @@ def surgery_type_label(knot: TorusType, s: SurgerySpec) -> SurgeryLabel:
     return SurgeryLabel(knot, extension_type(knot, s))
 
 
-@functools.lru_cache(maxsize=None)
 def type_labels_for_coeff(knot: TorusType, coeff: int) -> tuple[SurgeryLabel, ...]:
     """All labels a +-1 surgery can carry across meridional-twist choices.
 
@@ -233,7 +231,7 @@ class PairRole:
 class SurgeryKnot:
     level: int
     curve: CurveClass
-    coeff: Fraction
+    coeff: int
     role: Union[InvariantRole, PairRole]
     labels: tuple = ()  # SurgeryLabel entries, or the string "5" for pairs
 
@@ -246,7 +244,7 @@ class SurgeryKnot:
         return {
             "level": self.level,
             "curve": list(self.curve.coords),
-            "coeff": format_rational(self.coeff),
+            "coeff": f"{self.coeff:+d}",
             "role": role,
             "type": "/".join(str(l) for l in self.labels),
         }
@@ -254,6 +252,13 @@ class SurgeryKnot:
 
 @dataclass(frozen=True)
 class SurgeryDiagram:
+    """A leveled surgery link.
+
+    `word_to_diagram` emits a middle run of |m| parallel knots as |m|
+    references to one SurgeryKnot object, so consumers may classify a
+    knot once and reuse the result while the next knot `is` the same.
+    """
+
     ambient: str
     knots: tuple[SurgeryKnot, ...]
     notes: tuple[str, ...] = ()
@@ -282,13 +287,6 @@ class SurgeryDiagram:
         return "\n".join(lines)
 
 
-def format_rational(x: Fraction) -> str:
-    x = Fraction(x)
-    if x.denominator == 1:
-        return f"{x.numerator:+d}"
-    return f"{x.numerator:+d}/{x.denominator}"
-
-
 def word_to_diagram(shape: EquivariantShape, ambient: str = "S3_cst") -> SurgeryDiagram:
     """Leveled surgery link realizing the equivariant product.
 
@@ -304,16 +302,15 @@ def word_to_diagram(shape: EquivariantShape, ambient: str = "S3_cst") -> Surgery
     t = len(shape.outer)
     for idx, (curve, exp) in enumerate(shape.outer):
         level = t - idx  # leftmost outer factor sits deepest
-        coeff = Fraction(-exp)
-        knots.append(SurgeryKnot(-level, curve, coeff, PairRole(level, False), ("5",)))
+        knots.append(SurgeryKnot(-level, curve, -exp, PairRole(level, False), ("5",)))
         knots.append(
-            SurgeryKnot(level, shape.mirror[idx], coeff, PairRole(level, True), ("5",))
+            SurgeryKnot(level, shape.mirror[idx], -exp, PairRole(level, True), ("5",))
         )
     # parallel copies are identical immutable values; build each run's knot once
     for curve, exp in shape.middle:
         tt = knot_type_under_cst(curve)
         unit = 1 if exp > 0 else -1
         labels = type_labels_for_coeff(tt, unit)
-        knot = SurgeryKnot(0, curve, Fraction(unit), InvariantRole(tt), labels)
+        knot = SurgeryKnot(0, curve, unit, InvariantRole(tt), labels)
         knots.extend([knot] * abs(exp))
     return SurgeryDiagram(ambient, tuple(knots))

@@ -89,10 +89,9 @@ class TwistWord:
 
 
 def eval_word(w: TwistWord) -> IntMatrix:
-    form = SymplecticForm(w.genus)
     m = IntMatrix.identity(2 * w.genus)
     for f in w.factors:
-        m = m @ transvection(f.curve, f.exponent, form)
+        m = m.twist(f.curve, f.exponent)
     if w.base is not None:
         m = m @ w.base
     return m
@@ -154,7 +153,10 @@ def parse_word(text: str, genus: int = 1,
         if not m:
             raise WordError(f"cannot parse factor {token!r}")
         cname = m.group("curve").strip()
-        exp = int(m.group("exp")) if m.group("exp") is not None else 1
+        try:
+            exp = int(m.group("exp")) if m.group("exp") is not None else 1
+        except ValueError:  # past Python's int/str digit limit
+            raise WordError(f"exponent of {token[:12]!r}... has too many digits") from None
         if cname.startswith("v[") and cname.endswith("]"):
             try:
                 curve = CurveClass.from_coords([int(x) for x in cname[2:-1].split(",")])
@@ -330,6 +332,8 @@ def validate_recursive_invariance(w: TwistWord, s: IntMatrix) -> dict:
     curve up to sign, or (ii) it forms a swapped disjoint pair with the
     next factor.  Accumulated structures are checked to stay involutions.
     """
+    if s.genus != w.genus:
+        raise WordError(f"s acts at genus {s.genus} but the word lies at genus {w.genus}")
     form = SymplecticForm(w.genus)
     if not is_involution(s) or not is_anti_symplectic(s, form):
         raise WordError("s must be an anti-symplectic involution")
@@ -437,7 +441,7 @@ def factor_palindrome(
             raise WordError(f"input curve {curve_name(a_j)} is not invariant under s")
         r_j = a_j.image_under(prefix)  # primitive: prefix is unimodular
         squared.append((r_j, 2 * sigma))
-        prefix = prefix @ transvection(a_j, sigma, form)
+        prefix = prefix.twist(a_j, sigma)
     return TwistWord.of(list(reversed(squared)), base=None, genus=genus)
 
 

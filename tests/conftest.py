@@ -22,15 +22,18 @@ def primitive(coords) -> CurveClass:
     return CurveClass.from_coords([y // d for y in coords])
 
 
+def random_curve(genus: int, rng: random.Random) -> CurveClass:
+    while True:
+        v = [rng.randint(-2, 2) for _ in range(2 * genus)]
+        if any(v):
+            return primitive(v)
+
+
 def random_symplectic(genus: int, rng: random.Random, steps: int = 6) -> IntMatrix:
     form = SymplecticForm(genus)
     m = IntMatrix.identity(2 * genus)
     for _ in range(steps):
-        while True:
-            v = [rng.randint(-2, 2) for _ in range(2 * genus)]
-            if any(v):
-                break
-        m = m @ transvection(primitive(v), rng.choice([-1, 1]), form)
+        m = m @ transvection(random_curve(genus, rng), rng.choice([-1, 1]), form)
     return m
 
 

@@ -114,17 +114,26 @@ def test_verify_relations_respects_env(capsys, monkeypatch):
     assert any("X_3" in r["relation"] for r in doc["relations"])
 
 
+# Python converts at most 4300 digits between int and str.
+_LONG = "9" * 4400
+_HALF = "9" * 3000
+
+
 @pytest.mark.parametrize(
     "args",
     [
-        ("--word", "a^^2"),
-        ("--word", "(a+b^2"),
-        ("--word", "a+b)^2"),
-        ("--word", "v[2,0]"),
-        ("--word", "v[0,0]"),
-        ("--word", "v[1,x]"),
-        ("--word", "v[1,0,0]"),
-        ("--word", "1", "--genus", "0"),
+        ("verify", "--word", "a^^2"),
+        ("verify", "--word", "(a+b^2"),
+        ("verify", "--word", "a+b)^2"),
+        ("verify", "--word", "v[2,0]"),
+        ("verify", "--word", "v[0,0]"),
+        ("verify", "--word", "v[1,x]"),
+        ("verify", "--word", "v[1,0,0]"),
+        ("verify", "--word", "1", "--genus", "0"),
+        ("verify", "--word", f"a^{_LONG}"),
+        ("factor-palindrome", "--curves", f"a^{_LONG}"),
+        ("verify", "--word", f"a^{_HALF} b^{_HALF}"),
+        ("factor-palindrome", "--curves", f"(a+b)^{_HALF} (a-b)^{_HALF} (a+b)^{_HALF}"),
     ],
     ids=[
         "double-caret",
@@ -135,11 +144,15 @@ def test_verify_relations_respects_env(capsys, monkeypatch):
         "non-integer",
         "odd-length",
         "genus-0",
+        "exponent-too-long",
+        "palindrome-exponent-too-long",
+        "product-too-long",
+        "palindrome-curve-too-long",
     ],
 )
 def test_verify_malformed_word(capsys, args):
-    code, _, err = run(capsys, "verify", *args)
-    assert code == 64
+    code, out, err = run(capsys, *args)
+    assert (code, out) == (64, "")
     assert err.startswith("usage error:")
 
 

@@ -28,6 +28,11 @@ GOLDEN = [
      "82953f153bc33ab58c48c914572f44b5b4e96be8dfb41768f9af063eaa0369d9"),
     ("lens --p 4 --q 3 --format text",
      "0768bafa605e71ab8bf745b3cc434c466bc768bf61f4327ec671858abc23da89"),
+    ("verify --relations", "edfd13c2963a4cf9114ec03e1167ad38bef6a932605bd4373143f2b865631d3f"),
+    ("verify --word v[1,2,0,-1,3,1]^7 --genus 3",
+     "70f020c33bb41938be6129f5b956402d81b9d52b4f062bcbfebc40ee730b81a1"),
+    ("factor-palindrome --curves (a-b)^-2",
+     "c317cf540b9ced9b7381728c27450380dba3afc846d8ef987317e354ebaaf812"),
 ]
 
 

@@ -15,8 +15,9 @@ from eqsurg.matrices import (
     is_involution,
     transvection,
 )
+from eqsurg.words import TwistWord, eval_word
 
-from conftest import random_anti_symplectic, random_symplectic
+from conftest import random_anti_symplectic, random_curve, random_symplectic
 
 entries = st.integers(min_value=-30, max_value=30)
 
@@ -141,3 +142,40 @@ def test_transvection_fixes_its_curve():
     c = CurveClass.from_coords([1, 2, 0, 3])
     t = transvection(c, 5, form)
     assert c.image_under(t) == c
+
+
+def _twist_reference(c: CurveClass, k: int) -> IntMatrix:
+    """x |-> x + k <c, x> c, built column by column from the pairing."""
+    form = SymplecticForm(c.genus)
+    n = form.dim
+    cols = []
+    for j in range(n):
+        e = [int(i == j) for i in range(n)]
+        t = k * form.pairing(c.coords, e)
+        cols.append([x + t * y for x, y in zip(e, c.coords)])
+    return IntMatrix.from_rows(zip(*cols))
+
+
+@given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=-6, max_value=6))
+@settings(max_examples=60)
+def test_twist_matches_reference_product(seed, k):
+    rng = random.Random(seed)
+    g = rng.randint(1, 3)
+    m = random_symplectic(g, rng)
+    c = random_curve(g, rng)
+    assert m.twist(c, k) == m @ _twist_reference(c, k)
+
+    nonzero = [e for e in range(-6, 7) if e]
+    factors = [
+        (random_curve(g, rng), rng.choice(nonzero)) for _ in range(rng.randint(0, 5))
+    ]
+    base = random_anti_symplectic(g, rng)
+    expected = IntMatrix.identity(2 * g)
+    for curve, e in factors:
+        expected = expected @ _twist_reference(curve, e)
+    assert eval_word(TwistWord.of(factors, base=base, genus=g)) == expected @ base
+
+
+def test_twist_rejects_genus_mismatch():
+    with pytest.raises(DimensionMismatch):
+        IntMatrix.identity(4).twist(CurveClass.of(1, 0), 1)

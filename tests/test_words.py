@@ -235,6 +235,11 @@ def test_recursive_invariance_rejects_mismatched_pair_exponents():
     assert not validate_recursive_invariance(w, s)["all_ok"]
 
 
+def test_recursive_invariance_rejects_genus_mismatch():
+    with pytest.raises(WordError):
+        validate_recursive_invariance(parse_word("v[1,0,1,0]", genus=2), CST)
+
+
 # --- palindrome factorization ------------------------------------------------
 
 
