@@ -47,6 +47,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# Matrices and their JSON grow as genus^2; past this bound a run would
+# print megabytes or exhaust memory.
+MAX_GENUS = 100
+
+
+def _check_genus(genus: int) -> None:
+    if genus > MAX_GENUS:
+        raise UsageError(f"--genus must be at most {MAX_GENUS}, got {genus}")
+
+
 # Python's int/str digit limit guards against quadratic conversions; a
 # result past it is reported, not printed.
 _TOO_LONG = "the result holds an integer too long to print"
@@ -157,6 +167,7 @@ def _parse_matrix(text: str) -> IntMatrix:
 
 
 def cmd_verify(args) -> int:
+    _check_genus(args.genus)
     if args.relations:
         if args.max_exp is not None and args.max_exp < 1:
             raise UsageError("--max-exp must be at least 1")
@@ -192,6 +203,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_factor_palindrome(args) -> int:
+    _check_genus(args.genus)
     try:
         word = parse_word(args.curves, genus=args.genus)
     except WordError as exc:

@@ -229,12 +229,20 @@ def legalize(d: SurgeryDiagram, fix_rule_available: bool = False) -> ContactDiag
     so they are always legal and carry their framing data.  When a knot is
     illegal but the word upstream contains the rewrite pattern
     a^-1 (a+b)^1 b^-1, the verdict notes that the rewrite applies.
+    A knot's verdict depends only on its curve, its coefficient and, for
+    an invariant knot, its role, so each distinct one is classified once.
     """
     data: list[ContactKnotData] = []
+    verdicts: dict[tuple, ContactKnotData] = {}
     last = None
     for knot in d.knots:
         if knot is not last:  # a middle run repeats one knot object
-            last, entry = knot, _knot_data(knot, fix_rule_available)
+            role = knot.role if isinstance(knot.role, InvariantRole) else None
+            key = (knot.curve, knot.coeff, role)
+            entry = verdicts.get(key)
+            if entry is None:
+                entry = verdicts[key] = _knot_data(knot, fix_rule_available)
+            last = knot
         data.append(entry)
     overall = all(e.legal for e in data)
     return ContactDiagram(d, tuple(data), overall)

@@ -91,10 +91,6 @@ def admissible_pairs(max_p: int) -> list[tuple[int, int]]:
     ]
 
 
-def _swap(curve: CurveClass) -> CurveClass:
-    return curve.image_under(CST)
-
-
 def _half(count: int, terms: tuple[int, ...]) -> list[tuple[CurveClass, int]]:
     # Factor i (1-based) twists along b for odd i and a for even i.
     return [
@@ -102,8 +98,12 @@ def _half(count: int, terms: tuple[int, ...]) -> list[tuple[CurveClass, int]]:
     ]
 
 
+# The base's image of each curve `_half` twists along.
+_SWAP = {c: c.image_under(CST) for c in (CURVE_A, CURVE_B)}
+
+
 def _mirrored(half: list[tuple[CurveClass, int]]) -> list[tuple[CurveClass, int]]:
-    return [(_swap(c), e) for c, e in reversed(half)]
+    return [(_SWAP[c], e) for c, e in reversed(half)]
 
 
 _SIX_BA = [(CURVE_B, -1), (CURVE_A, -1)] * 3  # b^-1 a^-1 repeated, = A^2 = -I

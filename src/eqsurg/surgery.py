@@ -255,8 +255,10 @@ class SurgeryDiagram:
     """A leveled surgery link.
 
     `word_to_diagram` emits a middle run of |m| parallel knots as |m|
-    references to one SurgeryKnot object, so consumers may classify a
-    knot once and reuse the result while the next knot `is` the same.
+    references to one SurgeryKnot object, so consumers may reuse a
+    result while the next knot `is` the same.  `contact.legalize` does,
+    and looks every other knot's verdict up by (curve, coefficient,
+    invariant role), so it classifies each distinct knot once per call.
     """
 
     ambient: str

@@ -89,9 +89,20 @@ class TwistWord:
 
 
 def eval_word(w: TwistWord) -> IntMatrix:
-    m = IntMatrix.identity(2 * w.genus)
-    for f in w.factors:
-        m = m.twist(f.curve, f.exponent)
+    if w.genus == 1:
+        # IntMatrix.twist on the rows (a, b) and (c, d); the curve (x, y)
+        # has twist vector (-y, x)
+        a, b, c, d = 1, 0, 0, 1
+        for f in w.factors:
+            x, y = f.curve.coords
+            s = f.exponent * (a * x + b * y)
+            t = f.exponent * (c * x + d * y)
+            a, b, c, d = a - s * y, b + s * x, c - t * y, d + t * x
+        m = IntMatrix(((a, b), (c, d)))
+    else:
+        m = IntMatrix.identity(2 * w.genus)
+        for f in w.factors:
+            m = m.twist(f.curve, f.exponent)
     if w.base is not None:
         m = m @ w.base
     return m
@@ -259,10 +270,6 @@ class EquivariantShape:
     genus: int = 1
 
 
-def _is_base_invariant(curve: CurveClass, base: IntMatrix) -> bool:
-    return curve.image_under(base) == curve
-
-
 def validate_equivariant_shape(w: TwistWord) -> EquivariantShape:
     """Parse w as outer * middle * mirrored-outer * base, or raise ShapeError.
 
@@ -276,12 +283,10 @@ def validate_equivariant_shape(w: TwistWord) -> EquivariantShape:
     form = SymplecticForm(w.genus)
     fs = w.factors
     n = len(fs)
+    image = {c: c.image_under(w.base) for c in {f.curve for f in fs}}
 
     def mirrors(left: TwistFactor, right: TwistFactor) -> bool:
-        return (
-            left.exponent == right.exponent
-            and left.curve.image_under(w.base) == right.curve
-        )
+        return left.exponent == right.exponent and image[left.curve] == right.curve
 
     t_max = 0
     while t_max < n // 2 and mirrors(fs[t_max], fs[n - 1 - t_max]):
@@ -292,7 +297,7 @@ def validate_equivariant_shape(w: TwistWord) -> EquivariantShape:
         mid = fs[t:n - t]
         error = None
         for f in mid:
-            if not _is_base_invariant(f.curve, w.base):
+            if image[f.curve] != f.curve:
                 error = (
                     f"factor {curve_name(f.curve)}^{f.exponent}: curve is not "
                     "base-invariant and has no mirror partner"
@@ -456,11 +461,14 @@ def find_fix_rule(w: TwistWord) -> Optional[int]:
     """Index of the leftmost occurrence of a^-1 (a+b)^1 b^-1, if any."""
     if w.genus != 1:
         return None
+    (c0, e0), (c1, e1), (c2, e2) = _FIX_PATTERN
     fs = w.factors
     for i in range(len(fs) - 2):
-        window = tuple((f.curve, f.exponent) for f in fs[i:i + 3])
-        if window == _FIX_PATTERN:
-            return i
+        f = fs[i]
+        if f.exponent == e0 and f.curve == c0:
+            g, h = fs[i + 1], fs[i + 2]
+            if g.exponent == e1 and g.curve == c1 and h.exponent == e2 and h.curve == c2:
+                return i
     return None
 
 

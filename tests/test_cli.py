@@ -134,6 +134,8 @@ _HALF = "9" * 3000
         ("factor-palindrome", "--curves", f"a^{_LONG}"),
         ("verify", "--word", f"a^{_HALF} b^{_HALF}"),
         ("factor-palindrome", "--curves", f"(a+b)^{_HALF} (a-b)^{_HALF} (a+b)^{_HALF}"),
+        ("verify", "--word", "1", "--genus", "101"),
+        ("factor-palindrome", "--curves", "v[1" + ",0" * 201 + "]", "--genus", "101"),
     ],
     ids=[
         "double-caret",
@@ -148,6 +150,8 @@ _HALF = "9" * 3000
         "palindrome-exponent-too-long",
         "product-too-long",
         "palindrome-curve-too-long",
+        "genus-too-large",
+        "palindrome-genus-too-large",
     ],
 )
 def test_verify_malformed_word(capsys, args):

@@ -9,6 +9,7 @@ from eqsurg.contact import (
     Illegal,
     IllegalReason,
     Slope,
+    _knot_data,
     contact_coefficient,
     contact_glueback,
     legalize,
@@ -19,13 +20,16 @@ from eqsurg.contact import (
 from eqsurg.lens import Variant, build
 from eqsurg.matrices import CurveClass
 from eqsurg.surgery import (
+    InvariantRole,
+    PairRole,
     SurgeryDiagram,
+    SurgeryKnot,
     SurgerySpec,
     TorusType,
     extension_type,
     word_to_diagram,
 )
-from eqsurg.words import find_fix_rule, parse_word, validate_equivariant_shape
+from eqsurg.words import CURVE_APB, find_fix_rule, parse_word, validate_equivariant_shape
 
 
 def test_slope_normalization():
@@ -168,3 +172,18 @@ def test_legalize_reuse_is_only_a_speedup(p, q, variant):
     assert distinct == shared
     assert distinct.flags() == shared.flags()
     assert distinct.to_json_dict() == shared.to_json_dict()
+
+
+@pytest.mark.parametrize("fix", [True, False])
+def test_legalize_key_separates_roles(fix):
+    # same curve and coefficient: a pair knot against an invariant one, and
+    # two invariant knots whose roles differ
+    knots = (
+        SurgeryKnot(-1, CURVE_APB, 1, PairRole(1, False)),
+        SurgeryKnot(0, CURVE_APB, 1, InvariantRole(TorusType.C4)),
+        SurgeryKnot(0, CURVE_APB, -1, InvariantRole(TorusType.C4)),
+        SurgeryKnot(0, CURVE_APB, -1, InvariantRole(TorusType.C3)),
+    )
+    alone = tuple(_knot_data(k, fix) for k in knots)
+    assert alone[0] != alone[1] and alone[2] != alone[3]
+    assert legalize(SurgeryDiagram("S3_cst", knots), fix).knot_data == alone

@@ -33,6 +33,13 @@ GOLDEN = [
      "70f020c33bb41938be6129f5b956402d81b9d52b4f062bcbfebc40ee730b81a1"),
     ("factor-palindrome --curves (a-b)^-2",
      "c317cf540b9ced9b7381728c27450380dba3afc846d8ef987317e354ebaaf812"),
+    ("census --max-p 500", "d0b18b67552eda11e62078beab2d9fe17a4bd3a23c56d6be7e9ee0d5368135b6"),
+    ("lens --p 499 --q 498 --variant C",
+     "ad042b2f00ab4776f33061069205266fcfc38b75b47860b8cc6b6702fd9c7eb2"),
+    ("lens --p 499 --q 498 --variant C'",
+     "e9d08c6bebebdbcdc3a2ae43f8ae5513967bfd931ad0a539757602c2df9af268"),
+    ("census --max-p 120 --format text",
+     "3654d6c1387953210542eace00aea1e7ba719a89edfe2f7f1465be233ed6db3e"),
 ]
 
 

@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,7 @@ from eqsurg.matrices import (
     is_involution,
     transvection,
 )
-from eqsurg.words import TwistWord, eval_word
+from eqsurg.words import CST, TwistWord, eval_word
 
 from conftest import random_anti_symplectic, random_curve, random_symplectic
 
@@ -179,3 +180,26 @@ def test_twist_matches_reference_product(seed, k):
 def test_twist_rejects_genus_mismatch():
     with pytest.raises(DimensionMismatch):
         IntMatrix.identity(4).twist(CurveClass.of(1, 0), 1)
+
+
+genus1_curves = (
+    st.tuples(st.integers(-50, 50), st.integers(-50, 50))
+    .filter(lambda v: gcd(*v) == 1)
+    .map(lambda v: CurveClass.of(*v))
+)
+big_exponents = st.integers(-10**6, 10**6).filter(lambda k: k != 0)
+
+
+@given(
+    st.lists(st.tuples(genus1_curves, big_exponents), max_size=60),
+    st.sampled_from([None, CST]),
+)
+@settings(max_examples=100, deadline=None)
+def test_genus1_eval_matches_generic_twist(factors, base):
+    # eval_word works on four integers at genus 1; IntMatrix.twist is the reference
+    expected = IntMatrix.identity(2)
+    for curve, k in factors:
+        expected = expected.twist(curve, k)
+    if base is not None:
+        expected = expected @ base
+    assert eval_word(TwistWord.of(factors, base=base)) == expected

@@ -298,3 +298,16 @@ def test_fix_rule_absent():
     assert find_fix_rule(w) is None
     with pytest.raises(WordError):
         apply_fix_rule(w)
+
+
+@pytest.mark.parametrize(
+    "text, genus, index",
+    [
+        ("b^2 a^-1 (a+b)^1 b^-1 | cst", 1, 1),  # the last window
+        ("a^-1 a^-1 (a+b)^1 b^-1", 1, 1),  # a partial match first
+        ("a^-1 (a+b)^1", 1, None),
+        ("v[1,0,0,0]^-1 v[1,0,1,0]^1 v[0,0,1,0]^-1", 2, None),
+    ],
+)
+def test_fix_rule_scan_edges(text, genus, index):
+    assert find_fix_rule(parse_word(text, genus=genus)) == index
