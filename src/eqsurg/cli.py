@@ -158,18 +158,21 @@ def cmd_catalog(args) -> int:
     raise UsageError(f"unknown catalog {args.name!r}")
 
 
-def _parse_matrix(text: str) -> IntMatrix:
+def _parse_matrix(text: str, what: str) -> IntMatrix:
+    """A matrix from JSON text whose entries are all JSON integers."""
     try:
         rows = json.loads(text)
+        if not all(type(x) is int for row in rows for x in row):
+            raise ValueError("matrix entries must be JSON integers")
         return IntMatrix.from_rows(rows)
     except (ValueError, TypeError) as exc:
-        raise UsageError(f"cannot parse matrix {text!r}: {exc}") from None
+        raise UsageError(f"{what}: {exc}") from None
 
 
 def cmd_verify(args) -> int:
     _check_genus(args.genus)
     if args.relations:
-        if args.max_exp is not None and args.max_exp < 1:
+        if args.max_exp < 1:
             raise UsageError("--max-exp must be at least 1")
         report = verify_relations(args.max_exp)
         ok = all(r["ok"] for r in report)
@@ -193,7 +196,7 @@ def cmd_verify(args) -> int:
     value = eval_word(word)
     doc = {"word": format_word(word), "matrix": value.to_lists()}
     if args.expect is not None:
-        expected = _parse_matrix(args.expect)
+        expected = _parse_matrix(args.expect, f"cannot parse matrix {args.expect!r}")
         doc["expected"] = expected.to_lists()
         doc["match"] = value == expected
     _emit(doc, args.format)
@@ -213,9 +216,10 @@ def cmd_factor_palindrome(args) -> int:
     else:
         try:
             with open(args.involution) as fh:
-                s = IntMatrix.from_rows(json.load(fh))
-        except (OSError, ValueError, TypeError) as exc:
+                text = fh.read()
+        except (OSError, ValueError) as exc:  # ValueError: not valid text
             raise UsageError(f"cannot read involution matrix: {exc}") from None
+        s = _parse_matrix(text, "cannot read involution matrix")
     try:
         result = factor_palindrome(
             [f.curve for f in word.factors],
@@ -268,7 +272,7 @@ def build_parser() -> _Parser:
     p_verify.add_argument("--expect")
     p_verify.add_argument("--genus", type=int, default=1)
     p_verify.add_argument("--relations", action="store_true")
-    p_verify.add_argument("--max-exp", type=int, default=None)
+    p_verify.add_argument("--max-exp", type=int, default=10)
     add_format(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 

@@ -14,13 +14,7 @@ from math import gcd
 from typing import Union
 
 from .matrices import CurveClass
-from .surgery import (
-    InvariantRole,
-    SurgeryDiagram,
-    SurgeryKnot,
-    TorusType,
-    heegaard_minus_seifert,
-)
+from .surgery import SurgeryDiagram, SurgeryKnot, TorusType, heegaard_minus_seifert
 
 
 class ContactError(ValueError):
@@ -163,29 +157,35 @@ class ContactDiagram:
     tightness_hint: TightnessHint = TightnessHint.UNKNOWN
 
     def flags(self) -> list[str]:
+        """The reason of every illegal knot, once per copy."""
         out = []
-        for d in self.knot_data:
+        for knot, d in zip(self.base.knots, self.knot_data):
             if isinstance(d.glue_back, Illegal):
-                out.append(d.glue_back.reason.value)
+                out += [d.glue_back.reason.value] * knot.count
         return out
 
     def to_json_dict(self) -> dict:
-        doc = self.base.to_json_dict()
-        for knot_doc, data in zip(doc["knots"], self.knot_data):
-            knot_doc["contact"] = data.to_json_dict()
-        doc["overall_legal"] = self.overall_legal
-        doc["tightness_hint"] = self.tightness_hint.value
-        return doc
+        knots = []
+        for knot, data in zip(self.base.knots, self.knot_data):
+            doc = {**knot.to_json_dict(), "contact": data.to_json_dict()}
+            knots += [doc] * knot.count
+        return {
+            **self.base.to_json_dict(),
+            "knots": knots,
+            "overall_legal": self.overall_legal,
+            "tightness_hint": self.tightness_hint.value,
+        }
 
     def render_text(self) -> str:
         lines = [self.base.render_text()]
         for knot, data in zip(self.base.knots, self.knot_data):
             d = data.to_json_dict()
-            lines.append(
+            line = (
                 f"  contact level {knot.level:+d}: tw {d['tw']} tb {d['tb']} "
                 f"coeff {d['coeff']} glue_back {d['glue_back']} "
                 f"{'legal' if data.legal else 'ILLEGAL'}"
             )
+            lines += [line] * knot.count
         lines.append(f"overall_legal: {self.overall_legal}")
         return "\n".join(lines)
 
@@ -194,9 +194,9 @@ def _knot_data(knot: SurgeryKnot, fix_rule_available: bool) -> ContactKnotData:
     tw = tw_wrt_heegaard(knot.curve)
     tb = thurston_bennequin(knot.curve)
     cc = contact_coefficient(knot.coeff, tw)
-    if not isinstance(knot.role, InvariantRole):
+    ttype = knot.torus_type
+    if ttype is None:  # a pair knot
         return ContactKnotData(tw, tb, cc, None, True)
-    ttype = knot.role.torus_type
     if ttype is TorusType.C3:
         verdict = Illegal(IllegalReason.C3_KNOT)
     elif cc in (1, -1):
@@ -229,20 +229,18 @@ def legalize(d: SurgeryDiagram, fix_rule_available: bool = False) -> ContactDiag
     so they are always legal and carry their framing data.  When a knot is
     illegal but the word upstream contains the rewrite pattern
     a^-1 (a+b)^1 b^-1, the verdict notes that the rewrite applies.
-    A knot's verdict depends only on its curve, its coefficient and, for
-    an invariant knot, its role, so each distinct one is classified once.
+    A knot's verdict depends only on its curve, its coefficient and its
+    torus type (None for a pair knot), so each distinct one is classified
+    once.  The result holds one verdict per knot of `d`, which covers
+    all `count` copies of that knot.
     """
     data: list[ContactKnotData] = []
     verdicts: dict[tuple, ContactKnotData] = {}
-    last = None
     for knot in d.knots:
-        if knot is not last:  # a middle run repeats one knot object
-            role = knot.role if isinstance(knot.role, InvariantRole) else None
-            key = (knot.curve, knot.coeff, role)
-            entry = verdicts.get(key)
-            if entry is None:
-                entry = verdicts[key] = _knot_data(knot, fix_rule_available)
-            last = knot
+        key = (knot.curve, knot.coeff, knot.torus_type)
+        entry = verdicts.get(key)
+        if entry is None:
+            entry = verdicts[key] = _knot_data(knot, fix_rule_available)
         data.append(entry)
     overall = all(e.legal for e in data)
     return ContactDiagram(d, tuple(data), overall)

@@ -217,30 +217,28 @@ def knot_type_under_cst(curve: CurveClass) -> TorusType:
 
 
 @dataclass(frozen=True)
-class InvariantRole:
-    torus_type: TorusType
-
-
-@dataclass(frozen=True)
-class PairRole:
-    pair_id: int
-    mirror: bool  # False for the primary knot, True for its image
-
-
-@dataclass(frozen=True)
 class SurgeryKnot:
+    """A knot of a leveled surgery link, or a run of `count` parallel copies.
+
+    The level gives the role: pair i is the primary knot on level -i and
+    its mirror image on level +i, and invariant knots sit on level 0.
+    `torus_type` is the solid-torus type of an invariant knot and None
+    for a pair knot.
+    """
+
     level: int
     curve: CurveClass
     coeff: int
-    role: Union[InvariantRole, PairRole]
+    torus_type: Optional[TorusType] = None
     labels: tuple = ()  # SurgeryLabel entries, or the string "5" for pairs
+    count: int = 1
 
     def to_json_dict(self) -> dict:
-        if isinstance(self.role, InvariantRole):
-            role = {"invariant": self.role.torus_type.value}
+        if self.torus_type is not None:
+            role = {"invariant": self.torus_type.value}
         else:
-            key = "pair_mirror" if self.role.mirror else "pair_primary"
-            role = {key: self.role.pair_id}
+            key = "pair_mirror" if self.level > 0 else "pair_primary"
+            role = {key: abs(self.level)}
         return {
             "level": self.level,
             "curve": list(self.curve.coords),
@@ -254,11 +252,10 @@ class SurgeryKnot:
 class SurgeryDiagram:
     """A leveled surgery link.
 
-    `word_to_diagram` emits a middle run of |m| parallel knots as |m|
-    references to one SurgeryKnot object, so consumers may reuse a
-    result while the next knot `is` the same.  `contact.legalize` does,
-    and looks every other knot's verdict up by (curve, coefficient,
-    invariant role), so it classifies each distinct knot once per call.
+    A knot with `count` m stands for m parallel copies; `word_to_diagram`
+    emits each middle run (curve, m) as one knot with count |m|.  The
+    renderers print one entry per copy; in `to_json_dict` the copies of
+    a knot share one document.
     """
 
     ambient: str
@@ -266,26 +263,26 @@ class SurgeryDiagram:
     notes: tuple[str, ...] = ()
 
     def invariant_knots(self) -> list[SurgeryKnot]:
-        return [k for k in self.knots if isinstance(k.role, InvariantRole)]
+        return [k for k in self.knots if k.torus_type is not None]
 
     def pair_knots(self) -> list[SurgeryKnot]:
-        return [k for k in self.knots if isinstance(k.role, PairRole)]
+        return [k for k in self.knots if k.torus_type is None]
 
     def to_json_dict(self) -> dict:
-        return {
-            "ambient": self.ambient,
-            "knots": [k.to_json_dict() for k in self.knots],
-            "notes": list(self.notes),
-        }
+        knots = []
+        for k in self.knots:
+            knots += [k.to_json_dict()] * k.count
+        return {"ambient": self.ambient, "knots": knots, "notes": list(self.notes)}
 
     def render_text(self) -> str:
         lines = [f"ambient: {self.ambient}"]
         for k in sorted(self.knots, key=lambda k: k.level):
             d = k.to_json_dict()
-            lines.append(
+            line = (
                 f"  level {k.level:+d}: {curve_name(k.curve)} "
                 f"coeff {d['coeff']} role {d['role']} type {d['type']}"
             )
+            lines += [line] * k.count
         return "\n".join(lines)
 
 
@@ -294,8 +291,8 @@ def word_to_diagram(shape: EquivariantShape, ambient: str = "S3_cst") -> Surgery
 
     Outer factor (gamma, sigma) becomes a mirrored knot pair on levels
     -i/+i with surface-framed coefficient -sigma on both; each middle
-    run (gamma, m) becomes |m| parallel invariant knots at level 0 with
-    coefficient sign(m).  Knot types of invariant curves come from the
+    run (gamma, m) becomes one invariant knot at level 0 with coefficient
+    sign(m) and count |m|.  Knot types of invariant curves come from the
     built-in genus-1 table for the standard involution.
     """
     if shape.base != CST:
@@ -304,15 +301,11 @@ def word_to_diagram(shape: EquivariantShape, ambient: str = "S3_cst") -> Surgery
     t = len(shape.outer)
     for idx, (curve, exp) in enumerate(shape.outer):
         level = t - idx  # leftmost outer factor sits deepest
-        knots.append(SurgeryKnot(-level, curve, -exp, PairRole(level, False), ("5",)))
-        knots.append(
-            SurgeryKnot(level, shape.mirror[idx], -exp, PairRole(level, True), ("5",))
-        )
-    # parallel copies are identical immutable values; build each run's knot once
+        knots.append(SurgeryKnot(-level, curve, -exp, None, ("5",)))
+        knots.append(SurgeryKnot(level, shape.mirror[idx], -exp, None, ("5",)))
     for curve, exp in shape.middle:
         tt = knot_type_under_cst(curve)
         unit = 1 if exp > 0 else -1
         labels = type_labels_for_coeff(tt, unit)
-        knot = SurgeryKnot(0, curve, unit, InvariantRole(tt), labels)
-        knots.extend([knot] * abs(exp))
+        knots.append(SurgeryKnot(0, curve, unit, tt, labels, abs(exp)))
     return SurgeryDiagram(ambient, tuple(knots))

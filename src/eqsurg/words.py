@@ -11,7 +11,6 @@ equality of primitive classes up to sign.
 
 from __future__ import annotations
 
-import os
 import re
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -191,22 +190,13 @@ def _tau(curve: CurveClass, n: int = 1) -> IntMatrix:
     return transvection(curve, n, SymplecticForm(1))
 
 
-def default_max_exponent() -> int:
-    try:
-        return max(1, int(os.environ.get("EQSURG_MAX_EXP", "10")))
-    except ValueError:
-        return 10
-
-
-def verify_relations(max_exp: Optional[int] = None) -> list[dict]:
+def verify_relations(max_exp: int = 10) -> list[dict]:
     """Check the genus-1 twist relations as exact matrix identities.
 
     Covers X_r = A*tau_a^r = tau_b^r*A, A^2 = -I, the two triple-twist
     expressions for A, the conjugation identities for tau_{a+b}^n and
     tau_{a-b}^n, and the fix-rule identity.
     """
-    if max_exp is None:
-        max_exp = default_max_exponent()
     ident = IntMatrix.identity(2)
     a, b = CURVE_A, CURVE_B
     report: list[dict] = []
@@ -276,7 +266,7 @@ def validate_equivariant_shape(w: TwistWord) -> EquivariantShape:
     Mirrored factors must carry the base-image curve and the same
     exponent; middle curves must be base-invariant (up to sign) and
     pairwise disjoint at homology level.  Middle factors are kept as
-    runs (curve, m); `word_to_diagram` expands each into |m| knots.
+    runs (curve, m); `word_to_diagram` emits each as one knot with count |m|.
     """
     if w.base is None:
         raise ShapeError("equivariant shape requires a base involution")

@@ -105,9 +105,8 @@ def test_verify_relations(capsys):
     assert json.loads(out)["all_ok"] is True
 
 
-def test_verify_relations_respects_env(capsys, monkeypatch):
-    monkeypatch.setenv("EQSURG_MAX_EXP", "3")
-    code, out, _ = run(capsys, "verify", "--relations")
+def test_verify_relations_respects_max_exp(capsys):
+    code, out, _ = run(capsys, "verify", "--relations", "--max-exp", "3")
     assert code == 0
     doc = json.loads(out)
     assert not any("X_4" in r["relation"] for r in doc["relations"])
@@ -136,6 +135,10 @@ _HALF = "9" * 3000
         ("factor-palindrome", "--curves", f"(a+b)^{_HALF} (a-b)^{_HALF} (a+b)^{_HALF}"),
         ("verify", "--word", "1", "--genus", "101"),
         ("factor-palindrome", "--curves", "v[1" + ",0" * 201 + "]", "--genus", "101"),
+        ("verify", "--word", "a", "--expect", "[[1.9,1],[0,1]]"),
+        ("verify", "--word", "a", "--expect", "[[1,1],[0,true]]"),
+        ("verify", "--word", "a", "--expect", '[[1,1],[0,"1"]]'),
+        ("factor-palindrome", "--curves", "(a-b)^-2", "--involution", "float.json"),
     ],
     ids=[
         "double-caret",
@@ -152,9 +155,15 @@ _HALF = "9" * 3000
         "palindrome-curve-too-long",
         "genus-too-large",
         "palindrome-genus-too-large",
+        "expect-float",
+        "expect-bool",
+        "expect-string",
+        "involution-float",
     ],
 )
-def test_verify_malformed_word(capsys, args):
+def test_verify_malformed_word(capsys, tmp_path, monkeypatch, args):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "float.json").write_text("[[0.5,1],[1,0]]")
     code, out, err = run(capsys, *args)
     assert (code, out) == (64, "")
     assert err.startswith("usage error:")

@@ -20,8 +20,6 @@ from eqsurg.contact import (
 from eqsurg.lens import Variant, build
 from eqsurg.matrices import CurveClass
 from eqsurg.surgery import (
-    InvariantRole,
-    PairRole,
     SurgeryDiagram,
     SurgeryKnot,
     SurgerySpec,
@@ -157,32 +155,33 @@ def test_contact_json_fields():
     "p, q, variant",
     [(4, 3, Variant.C), (3, 1, Variant.C), (499, 1, Variant.C_PRIME)],
 )
-def test_legalize_reuse_is_only_a_speedup(p, q, variant):
-    # legalize classifies a repeated knot object once; equal but distinct
-    # knots must get the same verdicts
+def test_runs_equal_unit_copies(p, q, variant):
+    # a knot with count m prints and legalizes like m separate knots
     report = build(p, q, variant)
-    d = report.diagram
-    copies = SurgeryDiagram(
-        d.ambient, tuple(dataclasses.replace(k) for k in d.knots), d.notes
+    d, c = report.diagram, report.contact
+    assert any(k.count > 1 for k in d.knots)
+    units = SurgeryDiagram(
+        d.ambient,
+        tuple(dataclasses.replace(k, count=1) for k in d.knots for _ in range(k.count)),
+        d.notes,
     )
-    assert copies == d
-    assert len({id(k) for k in copies.knots}) == len(copies.knots)
-    fix = find_fix_rule(report.word) is not None
-    shared, distinct = legalize(d, fix), legalize(copies, fix)
-    assert distinct == shared
-    assert distinct.flags() == shared.flags()
-    assert distinct.to_json_dict() == shared.to_json_dict()
+    split = legalize(units, find_fix_rule(report.word) is not None)
+    assert units.to_json_dict() == d.to_json_dict()
+    assert units.render_text() == d.render_text()
+    assert split.to_json_dict() == c.to_json_dict()
+    assert split.flags() == c.flags()
+    assert split.render_text() == c.render_text()
 
 
 @pytest.mark.parametrize("fix", [True, False])
 def test_legalize_key_separates_roles(fix):
-    # same curve and coefficient: a pair knot against an invariant one, and
-    # two invariant knots whose roles differ
+    # same curve and coefficient: a pair knot against a c4 one, and a c4
+    # knot against a c3 one
     knots = (
-        SurgeryKnot(-1, CURVE_APB, 1, PairRole(1, False)),
-        SurgeryKnot(0, CURVE_APB, 1, InvariantRole(TorusType.C4)),
-        SurgeryKnot(0, CURVE_APB, -1, InvariantRole(TorusType.C4)),
-        SurgeryKnot(0, CURVE_APB, -1, InvariantRole(TorusType.C3)),
+        SurgeryKnot(-1, CURVE_APB, 1),
+        SurgeryKnot(0, CURVE_APB, 1, TorusType.C4),
+        SurgeryKnot(0, CURVE_APB, -1, TorusType.C4),
+        SurgeryKnot(0, CURVE_APB, -1, TorusType.C3),
     )
     alone = tuple(_knot_data(k, fix) for k in knots)
     assert alone[0] != alone[1] and alone[2] != alone[3]

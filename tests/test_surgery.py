@@ -6,8 +6,6 @@ from hypothesis import strategies as st
 
 from eqsurg.matrices import CurveClass
 from eqsurg.surgery import (
-    InvariantRole,
-    PairRole,
     SurgeryError,
     SurgerySpec,
     TorusType,
@@ -132,8 +130,7 @@ def test_diagram_single_invariant_negative_twist():
     (k,) = d.knots
     assert k.level == 0
     assert k.coeff == Fraction(-1)
-    assert isinstance(k.role, InvariantRole)
-    assert k.role.torus_type is TorusType.C4
+    assert (k.torus_type, k.count) == (TorusType.C4, 1)
     assert "4_2" in {str(l) for l in k.labels}
 
 
@@ -141,7 +138,7 @@ def test_diagram_single_invariant_positive_twist():
     d = diagram_of("(a-b)^1 | cst")
     (k,) = d.knots
     assert k.coeff == Fraction(1)
-    assert k.role.torus_type is TorusType.C1
+    assert k.torus_type is TorusType.C1
     assert [str(l) for l in k.labels] == ["1_1"]
 
 
@@ -156,13 +153,16 @@ def test_diagram_hopf_pair():
 
 def test_diagram_pairs_mirror_levels_and_coeffs():
     d = diagram_of("b^2 a^3 (a+b)^-1 b^3 a^2 | cst")
-    by_id = {}
-    for k in d.pair_knots():
-        by_id.setdefault(k.role.pair_id, []).append(k)
-    for pair_id, knots in by_id.items():
-        assert len(knots) == 2
-        assert {k.level for k in knots} == {pair_id, -pair_id}
-        assert knots[0].coeff == knots[1].coeff
+    pairs = {k.level: k for k in d.pair_knots()}
+    # pair i: the primary knot on level -i, its mirror on level +i
+    assert {level: k.to_json_dict()["role"] for level, k in pairs.items()} == {
+        -2: {"pair_primary": 2},
+        2: {"pair_mirror": 2},
+        -1: {"pair_primary": 1},
+        1: {"pair_mirror": 1},
+    }
+    for i in (1, 2):
+        assert pairs[-i].coeff == pairs[i].coeff
     # outer exponents 2 and 3 give surface-framed coefficients -2 and -3
     assert sorted({k.coeff for k in d.pair_knots()}) == [Fraction(-3), Fraction(-2)]
 

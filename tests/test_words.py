@@ -123,10 +123,13 @@ def test_shape_with_invariant_middle():
     w = parse_word("a^-1 (a+b)^3 b^-1 | cst")
     shape = validate_equivariant_shape(w)
     assert len(shape.outer) == 1
-    # the middle keeps the run (a+b)^3; the diagram expands it into three knots
+    # the middle keeps the run (a+b)^3; the diagram makes it one knot with
+    # count 3, printed as three
     assert shape.middle == ((CURVE_APB, 3),)
-    middle = word_to_diagram(shape).invariant_knots()
-    assert [(k.level, k.coeff) for k in middle] == [(0, 1)] * 3
+    d = word_to_diagram(shape)
+    (knot,) = d.invariant_knots()
+    assert (knot.level, knot.coeff, knot.count) == (0, 1, 3)
+    assert [k["level"] for k in d.to_json_dict()["knots"]] == [-1, 1, 0, 0, 0]
 
 
 def test_shape_requires_base():
