@@ -222,9 +222,7 @@ def cmd_factor_palindrome(args) -> int:
         s = _parse_matrix(text, "cannot read involution matrix")
     try:
         result = factor_palindrome(
-            [f.curve for f in word.factors],
-            [f.exponent for f in word.factors],
-            s,
+            [c for c, _ in word.factors], [e for _, e in word.factors], s
         )
     except WordError as exc:
         print(f"inadmissible: {exc}", file=sys.stderr)

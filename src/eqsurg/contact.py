@@ -164,9 +164,15 @@ class ContactDiagram:
                 out += [d.glue_back.reason.value] * knot.count
         return out
 
+    def entries(self) -> list[tuple[SurgeryKnot, ContactKnotData]]:
+        """Every knot with its contact data in print order: the pair knots,
+        whose data is computed here, then the invariant knots."""
+        pairs = [(k, _knot_data(k, False)) for k in self.base.pair_knots()]
+        return pairs + list(zip(self.base.knots, self.knot_data))
+
     def to_json_dict(self) -> dict:
         knots = []
-        for knot, data in zip(self.base.knots, self.knot_data):
+        for knot, data in self.entries():
             doc = {**knot.to_json_dict(), "contact": data.to_json_dict()}
             knots += [doc] * knot.count
         return {
@@ -178,7 +184,7 @@ class ContactDiagram:
 
     def render_text(self) -> str:
         lines = [self.base.render_text()]
-        for knot, data in zip(self.base.knots, self.knot_data):
+        for knot, data in self.entries():
             d = data.to_json_dict()
             line = (
                 f"  contact level {knot.level:+d}: tw {d['tw']} tb {d['tb']} "
@@ -195,7 +201,7 @@ def _knot_data(knot: SurgeryKnot, fix_rule_available: bool) -> ContactKnotData:
     tb = thurston_bennequin(knot.curve)
     cc = contact_coefficient(knot.coeff, tw)
     ttype = knot.torus_type
-    if ttype is None:  # a pair knot
+    if ttype is None:  # a pair knot: always legal
         return ContactKnotData(tw, tb, cc, None, True)
     if ttype is TorusType.C3:
         verdict = Illegal(IllegalReason.C3_KNOT)
@@ -224,23 +230,13 @@ def _knot_data(knot: SurgeryKnot, fix_rule_available: bool) -> ContactKnotData:
 def legalize(d: SurgeryDiagram, fix_rule_available: bool = False) -> ContactDiagram:
     """Promote a surgery diagram to a contact one.
 
-    Invariant knots are classified through the glue-back table; mirrored
-    pair knots only need Legendrian representatives respecting the pairing,
-    so they are always legal and carry their framing data.  When a knot is
+    Invariant knots are classified through the glue-back table, one
+    verdict per knot of `d.knots`, which covers all `count` copies.
+    Mirrored pair knots only need Legendrian representatives respecting
+    the pairing, so they are always legal; their framing data is computed
+    where it is printed (`ContactDiagram.entries`).  When a knot is
     illegal but the word upstream contains the rewrite pattern
     a^-1 (a+b)^1 b^-1, the verdict notes that the rewrite applies.
-    A knot's verdict depends only on its curve, its coefficient and its
-    torus type (None for a pair knot), so each distinct one is classified
-    once.  The result holds one verdict per knot of `d`, which covers
-    all `count` copies of that knot.
     """
-    data: list[ContactKnotData] = []
-    verdicts: dict[tuple, ContactKnotData] = {}
-    for knot in d.knots:
-        key = (knot.curve, knot.coeff, knot.torus_type)
-        entry = verdicts.get(key)
-        if entry is None:
-            entry = verdicts[key] = _knot_data(knot, fix_rule_available)
-        data.append(entry)
-    overall = all(e.legal for e in data)
-    return ContactDiagram(d, tuple(data), overall)
+    data = tuple(_knot_data(knot, fix_rule_available) for knot in d.knots)
+    return ContactDiagram(d, data, all(e.legal for e in data))

@@ -10,15 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 
 class DimensionMismatch(ValueError):
-    pass
-
-
-class NotUnimodular(ValueError):
     pass
 
 
@@ -89,8 +84,8 @@ class IntMatrix:
         return IntMatrix(tuple(tuple(-x for x in row) for row in self.rows))
 
     def __pow__(self, n: int) -> "IntMatrix":
-        if n < 0:
-            return self.inverse() ** (-n)
+        if n < 0:  # only nonnegative powers; -1 >> 1 == -1 would never end
+            raise ValueError(f"negative matrix power {n}")
         result = IntMatrix.identity(self.dim)
         base = self
         while n:
@@ -122,28 +117,6 @@ class IntMatrix:
                 m[i][k] = 0
             prev = m[k][k]
         return sign * m[n - 1][n - 1]
-
-    def inverse(self) -> "IntMatrix":
-        """Exact inverse; only defined for unimodular matrices."""
-        d = self.det()
-        if d not in (1, -1):
-            raise NotUnimodular(f"determinant {d}, expected +1 or -1")
-        n = self.dim
-        aug = [
-            [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-            for i, row in enumerate(self.rows)
-        ]
-        for col in range(n):
-            pivot = next(i for i in range(col, n) if aug[i][col] != 0)
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-            pv = aug[col][col]
-            aug[col] = [x / pv for x in aug[col]]
-            for i in range(n):
-                if i != col and aug[i][col] != 0:
-                    f = aug[i][col]
-                    aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-        inv = [[int(x) for x in row[n:]] for row in aug]
-        return IntMatrix.from_rows(inv)
 
     def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
         if len(vec) != self.dim:

@@ -252,31 +252,40 @@ class SurgeryKnot:
 class SurgeryDiagram:
     """A leveled surgery link.
 
-    A knot with `count` m stands for m parallel copies; `word_to_diagram`
-    emits each middle run (curve, m) as one knot with count |m|.  The
-    renderers print one entry per copy; in `to_json_dict` the copies of
-    a knot share one document.
+    `knots` holds the invariant knots; a knot with `count` m stands for m
+    parallel copies.  `pairs` holds the mirrored pairs as (primary curve,
+    mirror curve, coeff), deepest first: pair idx sits on levels -i and
+    +i with i = len(pairs) - idx.  The renderers print the pair knots,
+    then one entry per copy of each invariant knot; in `to_json_dict`
+    the copies of a knot share one document.
     """
 
     ambient: str
     knots: tuple[SurgeryKnot, ...]
+    pairs: tuple[tuple[CurveClass, CurveClass, int], ...] = ()
     notes: tuple[str, ...] = ()
 
     def invariant_knots(self) -> list[SurgeryKnot]:
-        return [k for k in self.knots if k.torus_type is not None]
+        return list(self.knots)
 
     def pair_knots(self) -> list[SurgeryKnot]:
-        return [k for k in self.knots if k.torus_type is None]
+        """Each pair's primary (level -i) and mirror (level +i) knot, deepest first."""
+        out = []
+        t = len(self.pairs)
+        for idx, (primary, mirror, coeff) in enumerate(self.pairs):
+            out.append(SurgeryKnot(idx - t, primary, coeff, None, ("5",)))
+            out.append(SurgeryKnot(t - idx, mirror, coeff, None, ("5",)))
+        return out
 
     def to_json_dict(self) -> dict:
         knots = []
-        for k in self.knots:
+        for k in self.pair_knots() + list(self.knots):
             knots += [k.to_json_dict()] * k.count
         return {"ambient": self.ambient, "knots": knots, "notes": list(self.notes)}
 
     def render_text(self) -> str:
         lines = [f"ambient: {self.ambient}"]
-        for k in sorted(self.knots, key=lambda k: k.level):
+        for k in sorted(self.pair_knots() + list(self.knots), key=lambda k: k.level):
             d = k.to_json_dict()
             line = (
                 f"  level {k.level:+d}: {curve_name(k.curve)} "
@@ -297,15 +306,13 @@ def word_to_diagram(shape: EquivariantShape, ambient: str = "S3_cst") -> Surgery
     """
     if shape.base != CST:
         raise SurgeryError("diagram emission currently supports the standard base only")
-    knots: list[SurgeryKnot] = []
-    t = len(shape.outer)
-    for idx, (curve, exp) in enumerate(shape.outer):
-        level = t - idx  # leftmost outer factor sits deepest
-        knots.append(SurgeryKnot(-level, curve, -exp, None, ("5",)))
-        knots.append(SurgeryKnot(level, shape.mirror[idx], -exp, None, ("5",)))
+    pairs = tuple(
+        (curve, mirror, -exp) for (curve, exp), mirror in zip(shape.outer, shape.mirror)
+    )
+    knots = []
     for curve, exp in shape.middle:
         tt = knot_type_under_cst(curve)
         unit = 1 if exp > 0 else -1
         labels = type_labels_for_coeff(tt, unit)
         knots.append(SurgeryKnot(0, curve, unit, tt, labels, abs(exp)))
-    return SurgeryDiagram(ambient, tuple(knots))
+    return SurgeryDiagram(ambient, tuple(knots), pairs)

@@ -1,7 +1,7 @@
 """Dehn-twist words and their homology-level verification.
 
-A word is an ordered list of twist factors, leftmost factor written
-first, optionally followed by a base involution.  Words evaluate to
+A word is an ordered tuple of twist factors (curve, exponent), leftmost
+factor written first, optionally followed by a base involution.  Words evaluate to
 matrix products with the rightmost factor applied first, so the written
 word g_k ... g_1 evaluates to M(g_k) @ ... @ M(g_1).
 
@@ -51,40 +51,34 @@ class ShapeError(ValueError):
 
 
 @dataclass(frozen=True)
-class TwistFactor:
-    curve: CurveClass
-    exponent: int
-
-    def __post_init__(self):
-        if self.exponent == 0:
-            raise WordError("twist factor exponent must be nonzero")
-
-
-@dataclass(frozen=True)
 class TwistWord:
-    factors: tuple[TwistFactor, ...]
+    """Twist factors (curve, exponent), leftmost first, and an optional base."""
+
+    factors: tuple[tuple[CurveClass, int], ...]
     base: Optional[IntMatrix] = None
     genus: int = 1
 
     def __post_init__(self):
+        for _, e in self.factors:
+            if e == 0:
+                raise WordError("twist factor exponent must be nonzero")
         if self.genus < 1:
             raise WordError(f"genus must be at least 1, got {self.genus}")
-        form = SymplecticForm(self.genus)
-        for f in self.factors:
-            if f.curve.genus != self.genus:
-                raise WordError(f"curve {f.curve.coords} does not match genus {self.genus}")
+        for c, _ in self.factors:
+            if c.genus != self.genus:
+                raise WordError(f"curve {c.coords} does not match genus {self.genus}")
         if self.base is not None:
             if self.base.genus != self.genus:
                 raise WordError("base matrix dimension does not match genus")
             if not is_involution(self.base):
                 raise WordError("base must be an involution")
-            if not is_anti_symplectic(self.base, form):
+            if not is_anti_symplectic(self.base, SymplecticForm(self.genus)):
                 raise WordError("base must reverse the intersection form")
 
     @staticmethod
     def of(factors: Sequence[tuple[CurveClass, int]],
            base: Optional[IntMatrix] = None, genus: int = 1) -> "TwistWord":
-        return TwistWord(tuple(TwistFactor(c, e) for c, e in factors), base, genus)
+        return TwistWord(tuple(factors), base, genus)
 
 
 def eval_word(w: TwistWord) -> IntMatrix:
@@ -92,16 +86,16 @@ def eval_word(w: TwistWord) -> IntMatrix:
         # IntMatrix.twist on the rows (a, b) and (c, d); the curve (x, y)
         # has twist vector (-y, x)
         a, b, c, d = 1, 0, 0, 1
-        for f in w.factors:
-            x, y = f.curve.coords
-            s = f.exponent * (a * x + b * y)
-            t = f.exponent * (c * x + d * y)
+        for curve, e in w.factors:
+            x, y = curve.coords
+            s = e * (a * x + b * y)
+            t = e * (c * x + d * y)
             a, b, c, d = a - s * y, b + s * x, c - t * y, d + t * x
         m = IntMatrix(((a, b), (c, d)))
     else:
         m = IntMatrix.identity(2 * w.genus)
-        for f in w.factors:
-            m = m.twist(f.curve, f.exponent)
+        for curve, e in w.factors:
+            m = m.twist(curve, e)
     if w.base is not None:
         m = m @ w.base
     return m
@@ -115,11 +109,11 @@ def curve_name(curve: CurveClass) -> str:
 
 def format_word(w: TwistWord) -> str:
     parts = []
-    for f in w.factors:
-        name = curve_name(f.curve)
+    for curve, e in w.factors:
+        name = curve_name(curve)
         if "+" in name or "-" in name:
             name = f"({name})"
-        parts.append(f"{name}^{f.exponent}")
+        parts.append(f"{name}^{e}")
     text = " ".join(parts) if parts else "1"
     if w.base is not None:
         text += " | cst" if w.base == CST else " | base"
@@ -249,8 +243,9 @@ class EquivariantShape:
 
     `middle` holds the word's middle factors as they are: (curve, m)
     stands for a run of |m| parallel twists of sign m along the curve.
-    `mirror[i]` is the curve of the factor paired with `outer[i]`, i.e.
-    the image of outer[i]'s curve under the base involution.
+    `outer` and `middle` are slices of the word's factors.  `mirror[i]`
+    is the curve of the factor paired with `outer[i]`, i.e. the image of
+    outer[i]'s curve under the base involution.
     """
 
     outer: tuple[tuple[CurveClass, int], ...]
@@ -273,30 +268,30 @@ def validate_equivariant_shape(w: TwistWord) -> EquivariantShape:
     form = SymplecticForm(w.genus)
     fs = w.factors
     n = len(fs)
-    image = {c: c.image_under(w.base) for c in {f.curve for f in fs}}
-
-    def mirrors(left: TwistFactor, right: TwistFactor) -> bool:
-        return left.exponent == right.exponent and image[left.curve] == right.curve
+    image = {c: c.image_under(w.base) for c in {c for c, _ in fs}}
 
     t_max = 0
-    while t_max < n // 2 and mirrors(fs[t_max], fs[n - 1 - t_max]):
+    while t_max < n // 2:
+        (c, e), (mirror_c, mirror_e) = fs[t_max], fs[n - 1 - t_max]
+        if e != mirror_e or image[c] != mirror_c:
+            break
         t_max += 1
 
     first_error: Optional[str] = None
     for t in range(t_max, -1, -1):
         mid = fs[t:n - t]
         error = None
-        for f in mid:
-            if image[f.curve] != f.curve:
+        for c, e in mid:
+            if image[c] != c:
                 error = (
-                    f"factor {curve_name(f.curve)}^{f.exponent}: curve is not "
+                    f"factor {curve_name(c)}^{e}: curve is not "
                     "base-invariant and has no mirror partner"
                 )
                 break
         if error is None:
             for i in range(len(mid)):
                 for j in range(i + 1, len(mid)):
-                    ci, cj = mid[i].curve, mid[j].curve
+                    ci, cj = mid[i][0], mid[j][0]
                     if ci != cj and form.pairing(ci.coords, cj.coords) != 0:
                         error = (
                             f"middle curves {curve_name(ci)} and {curve_name(cj)} "
@@ -306,10 +301,8 @@ def validate_equivariant_shape(w: TwistWord) -> EquivariantShape:
                 if error:
                     break
         if error is None:
-            outer = tuple((f.curve, f.exponent) for f in fs[:t])
-            mirror = tuple(fs[n - 1 - i].curve for i in range(t))
-            middle = tuple((f.curve, f.exponent) for f in mid)
-            return EquivariantShape(outer, middle, mirror, w.base, w.genus)
+            mirror = tuple(fs[n - 1 - i][0] for i in range(t))
+            return EquivariantShape(fs[:t], mid, mirror, w.base, w.genus)
         if first_error is None:
             first_error = error
     raise ShapeError(first_error or "word is not an equivariant product")
@@ -337,68 +330,42 @@ def validate_recursive_invariance(w: TwistWord, s: IntMatrix) -> dict:
     current = s
     j = 0
     all_ok = True
+
+    def entry(index: int, curve: CurveClass, e: int, condition: str,
+              invariant_ok: bool, involution_ok: bool) -> dict:
+        return {
+            "index": index,
+            "curve": curve_name(curve),
+            "exponent": e,
+            "condition": condition,
+            "invariant_ok": invariant_ok,
+            "involution_ok": involution_ok,
+        }
+
     while j < len(seq):
-        f = seq[j]
-        image = f.curve.image_under(current)
-        if image == f.curve:  # CurveClass is sign-normalized
-            current = transvection(f.curve, f.exponent, form) @ current
+        c, e = seq[j]
+        image = c.image_under(current)
+        if image == c:  # CurveClass is sign-normalized
+            current = transvection(c, e, form) @ current
             inv_ok = is_involution(current)
-            entries.append(
-                {
-                    "index": j + 1,
-                    "curve": curve_name(f.curve),
-                    "exponent": f.exponent,
-                    "condition": "i",
-                    "invariant_ok": True,
-                    "involution_ok": inv_ok,
-                }
-            )
+            entries.append(entry(j + 1, c, e, "i", True, inv_ok))
             all_ok = all_ok and inv_ok
             j += 1
             continue
         # condition (ii): swapped disjoint pair with the next factor
-        ok_pair = False
         if j + 1 < len(seq):
-            g = seq[j + 1]
-            ok_pair = (
-                g.exponent == f.exponent
-                and form.pairing(f.curve.coords, g.curve.coords) == 0
-                and image == g.curve
-            )
-        if ok_pair:
-            g = seq[j + 1]
-            current = (
-                transvection(g.curve, g.exponent, form)
-                @ transvection(f.curve, f.exponent, form)
-                @ current
-            )
-            inv_ok = is_involution(current)
-            for idx, h in ((j + 1, f), (j + 2, g)):
-                entries.append(
-                    {
-                        "index": idx,
-                        "curve": curve_name(h.curve),
-                        "exponent": h.exponent,
-                        "condition": "ii",
-                        "invariant_ok": True,
-                        "involution_ok": inv_ok,
-                    }
-                )
-            all_ok = all_ok and inv_ok
-            j += 2
-            continue
-        entries.append(
-            {
-                "index": j + 1,
-                "curve": curve_name(f.curve),
-                "exponent": f.exponent,
-                "condition": "i",
-                "invariant_ok": False,
-                "involution_ok": False,
-            }
-        )
+            d, e2 = seq[j + 1]
+            if e2 == e and form.pairing(c.coords, d.coords) == 0 and image == d:
+                current = transvection(d, e, form) @ transvection(c, e, form) @ current
+                inv_ok = is_involution(current)
+                entries.append(entry(j + 1, c, e, "ii", True, inv_ok))
+                entries.append(entry(j + 2, d, e, "ii", True, inv_ok))
+                all_ok = all_ok and inv_ok
+                j += 2
+                continue
+        entries.append(entry(j + 1, c, e, "i", False, False))
         all_ok = False
-        current = transvection(f.curve, f.exponent, form) @ current
+        current = transvection(c, e, form) @ current
         j += 1
     return {"all_ok": all_ok, "factors": entries}
 
@@ -451,14 +418,12 @@ def find_fix_rule(w: TwistWord) -> Optional[int]:
     """Index of the leftmost occurrence of a^-1 (a+b)^1 b^-1, if any."""
     if w.genus != 1:
         return None
-    (c0, e0), (c1, e1), (c2, e2) = _FIX_PATTERN
+    (c0, e0), second, third = _FIX_PATTERN
     fs = w.factors
     for i in range(len(fs) - 2):
-        f = fs[i]
-        if f.exponent == e0 and f.curve == c0:
-            g, h = fs[i + 1], fs[i + 2]
-            if g.exponent == e1 and g.curve == c1 and h.exponent == e2 and h.curve == c2:
-                return i
+        c, e = fs[i]
+        if e == e0 and c == c0 and fs[i + 1] == second and fs[i + 2] == third:
+            return i
     return None
 
 
@@ -467,5 +432,5 @@ def apply_fix_rule(w: TwistWord) -> TwistWord:
     i = find_fix_rule(w)
     if i is None:
         raise WordError("fix-rule pattern a^-1 (a+b)^1 b^-1 not found")
-    factors = w.factors[:i] + (TwistFactor(CURVE_AMB, -1),) + w.factors[i + 3:]
+    factors = w.factors[:i] + ((CURVE_AMB, -1),) + w.factors[i + 3:]
     return TwistWord(factors, w.base, w.genus)

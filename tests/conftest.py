@@ -48,7 +48,9 @@ def swap_involution(genus: int) -> IntMatrix:
 def random_anti_symplectic(genus: int, rng: random.Random) -> IntMatrix:
     """Random conjugate of the block swap: an anti-symplectic involution."""
     m = random_symplectic(genus, rng)
-    s = m @ swap_involution(genus) @ m.inverse()
+    j = SymplecticForm(genus).matrix()
+    m_inv = -(j @ m.transpose() @ j)  # M^T J M = J gives M^-1 = -J M^T J
+    s = m @ swap_involution(genus) @ m_inv
     assert is_involution(s) and is_anti_symplectic(s)
     return s
 

@@ -139,6 +139,7 @@ _HALF = "9" * 3000
         ("verify", "--word", "a", "--expect", "[[1,1],[0,true]]"),
         ("verify", "--word", "a", "--expect", '[[1,1],[0,"1"]]'),
         ("factor-palindrome", "--curves", "(a-b)^-2", "--involution", "float.json"),
+        ("verify", "--word", "a^0"),
     ],
     ids=[
         "double-caret",
@@ -159,6 +160,7 @@ _HALF = "9" * 3000
         "expect-bool",
         "expect-string",
         "involution-float",
+        "zero-exponent",
     ],
 )
 def test_verify_malformed_word(capsys, tmp_path, monkeypatch, args):

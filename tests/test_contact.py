@@ -126,9 +126,16 @@ def test_legalize_c4_positive_twist_is_flagged():
 
 
 def test_legalize_pairs_always_legal():
+    # legalize classifies no pair; the renderers print each pair knot as legal
     c = contact_of("b^2 a^2 | cst")
-    assert c.overall_legal
-    assert all(d.glue_back is None for d in c.knot_data)
+    assert c.overall_legal and c.knot_data == () and c.flags() == []
+    docs = c.to_json_dict()["knots"]
+    assert [k["role"] for k in docs] == [{"pair_primary": 1}, {"pair_mirror": 1}]
+    assert all(k["contact"]["glue_back"] is None and k["contact"]["legal"] for k in docs)
+    assert [k["contact"]["coeff"] for k in docs] == ["-1", "-1"]
+    contact_lines = [l for l in c.render_text().splitlines() if "contact level" in l]
+    assert len(contact_lines) == 2
+    assert all(l.endswith("glue_back None legal") for l in contact_lines)
 
 
 def test_fix_rule_note_attached():
@@ -163,6 +170,7 @@ def test_runs_equal_unit_copies(p, q, variant):
     units = SurgeryDiagram(
         d.ambient,
         tuple(dataclasses.replace(k, count=1) for k in d.knots for _ in range(k.count)),
+        d.pairs,
         d.notes,
     )
     split = legalize(units, find_fix_rule(report.word) is not None)
@@ -178,11 +186,17 @@ def test_legalize_key_separates_roles(fix):
     # same curve and coefficient: a pair knot against a c4 one, and a c4
     # knot against a c3 one
     knots = (
-        SurgeryKnot(-1, CURVE_APB, 1),
         SurgeryKnot(0, CURVE_APB, 1, TorusType.C4),
         SurgeryKnot(0, CURVE_APB, -1, TorusType.C4),
         SurgeryKnot(0, CURVE_APB, -1, TorusType.C3),
     )
+    d = SurgeryDiagram("S3_cst", knots, ((CURVE_APB, CURVE_APB, 1),))
+    c = legalize(d, fix)
     alone = tuple(_knot_data(k, fix) for k in knots)
-    assert alone[0] != alone[1] and alone[2] != alone[3]
-    assert legalize(SurgeryDiagram("S3_cst", knots), fix).knot_data == alone
+    assert alone[1] != alone[2]
+    assert c.knot_data == alone
+    (primary, mirror), runs = c.entries()[:2], c.entries()[2:]
+    assert runs == list(zip(knots, alone))
+    for knot, data in (primary, mirror):
+        assert data == _knot_data(knot, fix) != alone[0]
+        assert (knot.curve, knot.coeff, data.legal) == (CURVE_APB, 1, True)

@@ -40,6 +40,12 @@ GOLDEN = [
      "e9d08c6bebebdbcdc3a2ae43f8ae5513967bfd931ad0a539757602c2df9af268"),
     ("census --max-p 120 --format text",
      "3654d6c1387953210542eace00aea1e7ba719a89edfe2f7f1465be233ed6db3e"),
+    # four pairs printed interleaved by level, and a level-0 run: three
+    # copies of (a+b) for C, one (a-b) for C'
+    ("lens --p 120 --q 71 --variant C --format text",
+     "38f9794e564a41d7e953fa04ce0446512bdbe0920c4908f7915ede5e9189bb97"),
+    ("lens --p 120 --q 71 --variant C' --format text",
+     "ec04343a428ee0e7fbaceadfa7b241ed8cbbcd7fd11b2a02dffdaa8421cb4e49"),
 ]
 
 

@@ -83,8 +83,7 @@ def test_parse_format_roundtrip_random(data):
 
 def test_parse_vector_curves():
     w = parse_word("v[1,0,2,-1]^3", genus=2)
-    assert w.factors[0].curve == CurveClass.from_coords([1, 0, 2, -1])
-    assert w.factors[0].exponent == 3
+    assert w.factors == ((CurveClass.from_coords([1, 0, 2, -1]), 3),)
 
 
 def test_parse_rejects_garbage():
@@ -175,13 +174,13 @@ def test_shape_mutation_is_detected(seed):
     w = factor_C(p, q)
     original = eval_word(w)
     idx = rng.randrange(len(w.factors))
-    f = w.factors[idx]
+    curve, e = w.factors[idx]
     delta = rng.choice([-1, 1])
-    if f.exponent + delta == 0:
-        delta = -1 if f.exponent < 0 else 1
+    if e + delta == 0:
+        delta = -1 if e < 0 else 1
     mutated = TwistWord(
         w.factors[:idx]
-        + (type(f)(f.curve, f.exponent + delta),)
+        + ((curve, e + delta),)
         + w.factors[idx + 1 :],
         w.base,
         w.genus,
@@ -257,7 +256,7 @@ def test_factor_palindrome_matches_palindrome_product_genus1():
     for c, e in reversed(list(zip(curves, exps))):
         pal = pal @ transvection(c, e, form)
     assert eval_word(out) == pal
-    assert [f.exponent for f in out.factors] == [-2, 4]  # doubled, reversed
+    assert [e for _, e in out.factors] == [-2, 4]  # doubled, reversed
 
 
 def test_factor_palindrome_rejects_non_invariant_curve():
