@@ -91,19 +91,19 @@ def admissible_pairs(max_p: int) -> list[tuple[int, int]]:
     ]
 
 
-def _half(count: int, terms: tuple[int, ...]) -> list[tuple[CurveClass, int]]:
-    # Factor i (1-based) twists along b for odd i and a for even i.
-    return [
-        (CURVE_B if i % 2 == 1 else CURVE_A, terms[i - 1]) for i in range(1, count + 1)
-    ]
+def _half(count: int, terms: tuple[int, ...],
+          odd: CurveClass = CURVE_B, even: CurveClass = CURVE_A) -> list[tuple[CurveClass, int]]:
+    # Factor i (1-based) twists along `odd` for odd i and `even` for even i.
+    return [(odd if i % 2 == 1 else even, terms[i - 1]) for i in range(1, count + 1)]
 
 
-# The base's image of each curve `_half` twists along.
-_SWAP = {c: c.image_under(CST) for c in (CURVE_A, CURVE_B)}
+# The base's images of the curves `_half` twists along by default.
+_MIRROR_ODD, _MIRROR_EVEN = CURVE_B.image_under(CST), CURVE_A.image_under(CST)
 
 
-def _mirrored(half: list[tuple[CurveClass, int]]) -> list[tuple[CurveClass, int]]:
-    return [(_SWAP[c], e) for c, e in reversed(half)]
+def _mirrored(count: int, terms: tuple[int, ...]) -> list[tuple[CurveClass, int]]:
+    """The mirror image of `_half(count, terms)`: base images, in reverse order."""
+    return _half(count, terms, _MIRROR_ODD, _MIRROR_EVEN)[::-1]
 
 
 _SIX_BA = [(CURVE_B, -1), (CURVE_A, -1)] * 3  # b^-1 a^-1 repeated, = A^2 = -I
@@ -139,7 +139,7 @@ def _factor(terms: tuple[int, ...], prime: bool) -> TwistWord:
         else:
             left = _half(2 * k + 1, terms)
             middle = [(CURVE_B, -1), (CURVE_AMB, terms[2 * k + 1] - 1), (CURVE_A, -1)]
-    factors = left + middle + _mirrored(left)
+    factors = left + middle + _mirrored(len(left), terms)
     return TwistWord.of(factors, base=CST)
 
 

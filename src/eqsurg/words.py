@@ -64,8 +64,9 @@ class TwistWord:
                 raise WordError("twist factor exponent must be nonzero")
         if self.genus < 1:
             raise WordError(f"genus must be at least 1, got {self.genus}")
+        dim = 2 * self.genus
         for c, _ in self.factors:
-            if c.genus != self.genus:
+            if len(c.coords) != dim:
                 raise WordError(f"curve {c.coords} does not match genus {self.genus}")
         if self.base is not None:
             if self.base.genus != self.genus:
