@@ -57,6 +57,15 @@ def _check_genus(genus: int) -> None:
         raise UsageError(f"--genus must be at most {MAX_GENUS}, got {genus}")
 
 
+# The relation suite checks six relations per exponent in [-N, N]: time
+# and output grow linearly with N (N = 10,000 prints 9 MB).
+MAX_EXP = 1000
+
+# A type-A chain lists sum |r_i + 1| rotation numbers (p = 100,001, q = 1
+# prints 1.3 MB); past this bound the list would exhaust memory.
+MAX_ROTATION_CHOICES = 100_000
+
+
 # Python's int/str digit limit guards against quadratic conversions; a
 # result past it is reported, not printed.
 _TOO_LONG = "the result holds an integer too long to print"
@@ -153,6 +162,11 @@ def cmd_catalog(args) -> int:
         except BadInput as exc:
             print(f"inadmissible: {exc}", file=sys.stderr)
             return EXIT_INADMISSIBLE
+        # every r_i <= -2, so knot i has |r_i + 1| = -r_i - 1 rotation numbers
+        if sum(-r - 1 for r in report.coefficients) > MAX_ROTATION_CHOICES:
+            raise UsageError(
+                f"the chain has more than {MAX_ROTATION_CHOICES} rotation numbers to list"
+            )
         _emit({"catalog": "typeA", **report.to_json_dict()}, args.format)
         return EXIT_OK
     raise UsageError(f"unknown catalog {args.name!r}")
@@ -174,6 +188,8 @@ def cmd_verify(args) -> int:
     if args.relations:
         if args.max_exp < 1:
             raise UsageError("--max-exp must be at least 1")
+        if args.max_exp > MAX_EXP:
+            raise UsageError(f"--max-exp must be at most {MAX_EXP}, got {args.max_exp}")
         report = verify_relations(args.max_exp)
         ok = all(r["ok"] for r in report)
         doc = {"relations": report, "all_ok": ok}

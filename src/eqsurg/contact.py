@@ -70,7 +70,6 @@ class IllegalReason(enum.Enum):
 @dataclass(frozen=True)
 class Illegal:
     reason: IllegalReason
-    detail: str = ""
 
     def __str__(self) -> str:
         return f"Illegal({self.reason.value})"
@@ -90,7 +89,7 @@ def contact_glueback(k: TorusType, q: int, p_prime: int) -> Union[TorusType, Ill
             return TorusType.C2
         return TorusType.C4 if q_prime % 2 == 1 else TorusType.C3
     if k is TorusType.C3:
-        return Illegal(IllegalReason.C3_KNOT, "no equivariant contact surgery on a c3-knot")
+        return Illegal(IllegalReason.C3_KNOT)
     if q % 2 == 1:
         return TorusType.C2
     return TorusType.C4 if p_prime % 2 == 0 else TorusType.C3
@@ -129,8 +128,11 @@ class ContactKnotData:
     tb: int
     contact_coeff: int
     glue_back: Union[TorusType, Illegal, None]  # None for pair knots
-    legal: bool
     notes: tuple[str, ...] = ()
+
+    @property
+    def legal(self) -> bool:
+        return not isinstance(self.glue_back, Illegal)
 
     def to_json_dict(self) -> dict:
         if self.glue_back is None:
@@ -153,8 +155,11 @@ class ContactKnotData:
 class ContactDiagram:
     base: SurgeryDiagram
     knot_data: tuple[ContactKnotData, ...]  # aligned with base.knots
-    overall_legal: bool
-    tightness_hint: TightnessHint = TightnessHint.UNKNOWN
+
+    @property
+    def overall_legal(self) -> bool:
+        # pair knots are always legal
+        return all(d.legal for d in self.knot_data)
 
     def flags(self) -> list[str]:
         """The reason of every illegal knot, once per copy."""
@@ -179,7 +184,8 @@ class ContactDiagram:
             **self.base.to_json_dict(),
             "knots": knots,
             "overall_legal": self.overall_legal,
-            "tightness_hint": self.tightness_hint.value,
+            # tightness of a built diagram is never decided
+            "tightness_hint": TightnessHint.UNKNOWN.value,
         }
 
     def render_text(self) -> str:
@@ -202,7 +208,7 @@ def _knot_data(knot: SurgeryKnot, fix_rule_available: bool) -> ContactKnotData:
     cc = contact_coefficient(knot.coeff, tw)
     ttype = knot.torus_type
     if ttype is None:  # a pair knot: always legal
-        return ContactKnotData(tw, tb, cc, None, True)
+        return ContactKnotData(tw, tb, cc, None)
     if ttype is TorusType.C3:
         verdict = Illegal(IllegalReason.C3_KNOT)
     elif cc in (1, -1):
@@ -211,20 +217,14 @@ def _knot_data(knot: SurgeryKnot, fix_rule_available: bool) -> ContactKnotData:
         # neither resolved nor recorded.
         verdict = contact_glueback(ttype, cc, 0)
     elif cc == 0:
-        verdict = Illegal(IllegalReason.NO_SLOPE, "contact coefficient 0")
+        verdict = Illegal(IllegalReason.NO_SLOPE)
     elif ttype is TorusType.C4 and cc > 0:
-        verdict = Illegal(
-            IllegalReason.POSITIVE_C4_MIDDLE,
-            f"contact coefficient {cc} on a c4-knot has no equivariant realization",
-        )
+        verdict = Illegal(IllegalReason.POSITIVE_C4_MIDDLE)
     else:
-        verdict = Illegal(
-            IllegalReason.NOT_UNIT_NUMERATOR,
-            f"contact coefficient {cc} is not of the form 1/q",
-        )
-    legal = not isinstance(verdict, Illegal)
-    notes = ("fix rule applicable",) if not legal and fix_rule_available else ()
-    return ContactKnotData(tw, tb, cc, verdict, legal, notes)
+        verdict = Illegal(IllegalReason.NOT_UNIT_NUMERATOR)
+    fixable = fix_rule_available and isinstance(verdict, Illegal)
+    notes = ("fix rule applicable",) if fixable else ()
+    return ContactKnotData(tw, tb, cc, verdict, notes)
 
 
 def legalize(d: SurgeryDiagram, fix_rule_available: bool = False) -> ContactDiagram:
@@ -238,5 +238,4 @@ def legalize(d: SurgeryDiagram, fix_rule_available: bool = False) -> ContactDiag
     illegal but the word upstream contains the rewrite pattern
     a^-1 (a+b)^1 b^-1, the verdict notes that the rewrite applies.
     """
-    data = tuple(_knot_data(knot, fix_rule_available) for knot in d.knots)
-    return ContactDiagram(d, data, all(e.legal for e in data))
+    return ContactDiagram(d, tuple(_knot_data(knot, fix_rule_available) for knot in d.knots))

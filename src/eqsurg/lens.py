@@ -159,27 +159,38 @@ def factor_Cprime(p: int, q: int) -> TwistWord:
     return _word(LensTarget(p, q, Variant.C_PRIME))[1]
 
 
-def assemble(word: TwistWord) -> tuple[SurgeryDiagram, ContactDiagram]:
-    """Shape, surgery diagram and contact verdicts of a word; raises ShapeError.
+def assemble(word: TwistWord) -> ContactDiagram:
+    """Contact verdicts over the word's surgery diagram (`base`); raises ShapeError.
 
     The verdicts note that the fix rule applies when the word contains
     the rewrite pattern a^-1 (a+b)^1 b^-1.
     """
     diagram = word_to_diagram(validate_equivariant_shape(word))
-    return diagram, legalize(diagram, fix_rule_available=find_fix_rule(word) is not None)
+    return legalize(diagram, fix_rule_available=find_fix_rule(word) is not None)
 
 
 @dataclass(frozen=True)
 class BuildReport:
+    """A finished build; `contact` is None when the word has no equivariant shape."""
+
     target: LensTarget
     cf: ContFrac
-    palindrome: bool
     word: TwistWord
     matrix_ok: bool
-    shape_ok: bool
     fix_rule_applied: bool
-    diagram: Optional[SurgeryDiagram]
     contact: Optional[ContactDiagram]
+
+    @property
+    def palindrome(self) -> bool:
+        return is_palindrome(self.cf)
+
+    @property
+    def shape_ok(self) -> bool:
+        return self.contact is not None
+
+    @property
+    def diagram(self) -> Optional[SurgeryDiagram]:
+        return None if self.contact is None else self.contact.base
 
     @property
     def legal(self) -> bool:
@@ -231,12 +242,11 @@ def build(p: int, q: int, variant: Variant) -> BuildReport:
     """
     target = LensTarget(p, q, variant)
     cf, word = _word(target)
-    palindrome = is_palindrome(cf)
     matrix_ok = eval_word(word) == target.matrix
     try:
-        diagram, contact = assemble(word)
+        contact = assemble(word)
     except ShapeError:
-        return BuildReport(target, cf, palindrome, word, matrix_ok, False, False, None, None)
+        return BuildReport(target, cf, word, matrix_ok, False, None)
     fix_applied = False
     if not contact.overall_legal and find_fix_rule(word) is not None:
         fixed = apply_fix_rule(word)
@@ -244,10 +254,8 @@ def build(p: int, q: int, variant: Variant) -> BuildReport:
             word = fixed
             matrix_ok = True
             fix_applied = True
-            diagram, contact = assemble(word)
-    return BuildReport(
-        target, cf, palindrome, word, matrix_ok, True, fix_applied, diagram, contact
-    )
+            contact = assemble(word)
+    return BuildReport(target, cf, word, matrix_ok, fix_applied, contact)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +275,8 @@ class CatalogEntry:
         return eval_word(self.word) == self.expected_matrix
 
     def diagrams(self) -> tuple[SurgeryDiagram, ContactDiagram]:
-        return assemble(self.word)
+        contact = assemble(self.word)
+        return contact.base, contact
 
     def to_json_dict(self) -> dict:
         d, c = self.diagrams()

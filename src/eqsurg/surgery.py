@@ -230,8 +230,14 @@ class SurgeryKnot:
     curve: CurveClass
     coeff: int
     torus_type: Optional[TorusType] = None
-    labels: tuple = ()  # SurgeryLabel entries, or the string "5" for pairs
     count: int = 1
+
+    @property
+    def labels(self) -> tuple:
+        """The string "5" for a pair knot, else the SurgeryLabel entries."""
+        if self.torus_type is None:
+            return ("5",)
+        return type_labels_for_coeff(self.torus_type, self.coeff)
 
     def to_json_dict(self) -> dict:
         if self.torus_type is not None:
@@ -257,13 +263,12 @@ class SurgeryDiagram:
     mirror curve, coeff), deepest first: pair idx sits on levels -i and
     +i with i = len(pairs) - idx.  The renderers print the pair knots,
     then one entry per copy of each invariant knot; in `to_json_dict`
-    the copies of a knot share one document.
+    the copies of a knot share one document.  The ambient manifold is
+    always the standard real S^3 and a diagram carries no notes.
     """
 
-    ambient: str
     knots: tuple[SurgeryKnot, ...]
     pairs: tuple[tuple[CurveClass, CurveClass, int], ...] = ()
-    notes: tuple[str, ...] = ()
 
     def invariant_knots(self) -> list[SurgeryKnot]:
         return list(self.knots)
@@ -273,18 +278,18 @@ class SurgeryDiagram:
         out = []
         t = len(self.pairs)
         for idx, (primary, mirror, coeff) in enumerate(self.pairs):
-            out.append(SurgeryKnot(idx - t, primary, coeff, None, ("5",)))
-            out.append(SurgeryKnot(t - idx, mirror, coeff, None, ("5",)))
+            out.append(SurgeryKnot(idx - t, primary, coeff))
+            out.append(SurgeryKnot(t - idx, mirror, coeff))
         return out
 
     def to_json_dict(self) -> dict:
         knots = []
         for k in self.pair_knots() + list(self.knots):
             knots += [k.to_json_dict()] * k.count
-        return {"ambient": self.ambient, "knots": knots, "notes": list(self.notes)}
+        return {"ambient": "S3_cst", "knots": knots, "notes": []}
 
     def render_text(self) -> str:
-        lines = [f"ambient: {self.ambient}"]
+        lines = ["ambient: S3_cst"]
         for k in sorted(self.pair_knots() + list(self.knots), key=lambda k: k.level):
             d = k.to_json_dict()
             line = (
@@ -295,7 +300,7 @@ class SurgeryDiagram:
         return "\n".join(lines)
 
 
-def word_to_diagram(shape: EquivariantShape, ambient: str = "S3_cst") -> SurgeryDiagram:
+def word_to_diagram(shape: EquivariantShape) -> SurgeryDiagram:
     """Leveled surgery link realizing the equivariant product.
 
     Outer factor (gamma, sigma) becomes a mirrored knot pair on levels
@@ -311,8 +316,6 @@ def word_to_diagram(shape: EquivariantShape, ambient: str = "S3_cst") -> Surgery
     )
     knots = []
     for curve, exp in shape.middle:
-        tt = knot_type_under_cst(curve)
         unit = 1 if exp > 0 else -1
-        labels = type_labels_for_coeff(tt, unit)
-        knots.append(SurgeryKnot(0, curve, unit, tt, labels, abs(exp)))
-    return SurgeryDiagram(ambient, tuple(knots), pairs)
+        knots.append(SurgeryKnot(0, curve, unit, knot_type_under_cst(curve), abs(exp)))
+    return SurgeryDiagram(tuple(knots), pairs)

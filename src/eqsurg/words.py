@@ -50,6 +50,14 @@ class ShapeError(ValueError):
     pass
 
 
+def _check_real_structure(s: IntMatrix, genus: int, name: str = "s") -> None:
+    """Raise WordError unless `s` is an anti-symplectic involution at `genus`."""
+    if s.genus != genus:
+        raise WordError(f"{name} acts at genus {s.genus} but the word lies at genus {genus}")
+    if not (is_involution(s) and is_anti_symplectic(s)):
+        raise WordError(f"{name} must be an anti-symplectic involution")
+
+
 @dataclass(frozen=True)
 class TwistWord:
     """Twist factors (curve, exponent), leftmost first, and an optional base."""
@@ -69,12 +77,7 @@ class TwistWord:
             if len(c.coords) != dim:
                 raise WordError(f"curve {c.coords} does not match genus {self.genus}")
         if self.base is not None:
-            if self.base.genus != self.genus:
-                raise WordError("base matrix dimension does not match genus")
-            if not is_involution(self.base):
-                raise WordError("base must be an involution")
-            if not is_anti_symplectic(self.base, SymplecticForm(self.genus)):
-                raise WordError("base must reverse the intersection form")
+            _check_real_structure(self.base, self.genus, "base")
 
     @staticmethod
     def of(factors: Sequence[tuple[CurveClass, int]],
@@ -253,7 +256,6 @@ class EquivariantShape:
     middle: tuple[tuple[CurveClass, int], ...]
     mirror: tuple[CurveClass, ...]
     base: IntMatrix
-    genus: int = 1
 
 
 def validate_equivariant_shape(w: TwistWord) -> EquivariantShape:
@@ -263,6 +265,9 @@ def validate_equivariant_shape(w: TwistWord) -> EquivariantShape:
     exponent; middle curves must be base-invariant (up to sign) and
     pairwise disjoint at homology level.  Middle factors are kept as
     runs (curve, m); `word_to_diagram` emits each as one knot with count |m|.
+
+    Only the longest mirrored outer part is tried: a shorter one moves
+    factors into the middle, so a middle that fails here fails there too.
     """
     if w.base is None:
         raise ShapeError("equivariant shape requires a base involution")
@@ -278,35 +283,23 @@ def validate_equivariant_shape(w: TwistWord) -> EquivariantShape:
             break
         t_max += 1
 
-    first_error: Optional[str] = None
-    for t in range(t_max, -1, -1):
-        mid = fs[t:n - t]
-        error = None
-        for c, e in mid:
-            if image[c] != c:
-                error = (
-                    f"factor {curve_name(c)}^{e}: curve is not "
-                    "base-invariant and has no mirror partner"
+    mid = fs[t_max:n - t_max]
+    for c, e in mid:
+        if image[c] != c:
+            raise ShapeError(
+                f"factor {curve_name(c)}^{e}: curve is not "
+                "base-invariant and has no mirror partner"
+            )
+    for i in range(len(mid)):
+        for j in range(i + 1, len(mid)):
+            ci, cj = mid[i][0], mid[j][0]
+            if ci != cj and form.pairing(ci.coords, cj.coords) != 0:
+                raise ShapeError(
+                    f"middle curves {curve_name(ci)} and {curve_name(cj)} "
+                    "are not disjoint"
                 )
-                break
-        if error is None:
-            for i in range(len(mid)):
-                for j in range(i + 1, len(mid)):
-                    ci, cj = mid[i][0], mid[j][0]
-                    if ci != cj and form.pairing(ci.coords, cj.coords) != 0:
-                        error = (
-                            f"middle curves {curve_name(ci)} and {curve_name(cj)} "
-                            "are not disjoint"
-                        )
-                        break
-                if error:
-                    break
-        if error is None:
-            mirror = tuple(fs[n - 1 - i][0] for i in range(t))
-            return EquivariantShape(fs[:t], mid, mirror, w.base, w.genus)
-        if first_error is None:
-            first_error = error
-    raise ShapeError(first_error or "word is not an equivariant product")
+    mirror = tuple(fs[n - 1 - i][0] for i in range(t_max))
+    return EquivariantShape(fs[:t_max], mid, mirror, w.base)
 
 
 # ---------------------------------------------------------------------------
@@ -321,11 +314,8 @@ def validate_recursive_invariance(w: TwistWord, s: IntMatrix) -> dict:
     curve up to sign, or (ii) it forms a swapped disjoint pair with the
     next factor.  Accumulated structures are checked to stay involutions.
     """
-    if s.genus != w.genus:
-        raise WordError(f"s acts at genus {s.genus} but the word lies at genus {w.genus}")
+    _check_real_structure(s, w.genus)
     form = SymplecticForm(w.genus)
-    if not is_involution(s) or not is_anti_symplectic(s, form):
-        raise WordError("s must be an anti-symplectic involution")
     seq = list(reversed(w.factors))  # application order
     entries: list[dict] = []
     current = s
@@ -392,11 +382,7 @@ def factor_palindrome(
     if not curves:
         raise WordError("palindrome factorization needs at least one curve")
     genus = curves[0].genus
-    if s.genus != genus:
-        raise WordError(f"s acts at genus {s.genus} but the curves lie at genus {genus}")
-    form = SymplecticForm(genus)
-    if not is_involution(s) or not is_anti_symplectic(s, form):
-        raise WordError("s must be an anti-symplectic involution")
+    _check_real_structure(s, genus)
     prefix = IntMatrix.identity(2 * genus)
     squared: list[tuple[CurveClass, int]] = []
     for a_j, sigma in zip(curves, exps):

@@ -78,6 +78,13 @@ def test_catalog_type_a(capsys):
     assert doc["coefficients"] == [-3] and doc["count"] == 2
 
 
+def test_catalog_type_a_at_rotation_bound(capsys):
+    # L(100001, 1) is one knot with |r + 1| = 100,000 rotation numbers: the cap
+    code, out, _ = run(capsys, "catalog", "typeA", "--p", "100001", "--q", "1")
+    assert code == 0
+    assert len(json.loads(out)["rotation_choices"][0]) == 100_000
+
+
 def test_catalog_type_a_needs_pq(capsys):
     code, _, err = run(capsys, "catalog", "typeA")
     assert code == 64
@@ -140,6 +147,10 @@ _HALF = "9" * 3000
         ("verify", "--word", "a", "--expect", '[[1,1],[0,"1"]]'),
         ("factor-palindrome", "--curves", "(a-b)^-2", "--involution", "float.json"),
         ("verify", "--word", "a^0"),
+        ("catalog", "typeA", "--p", "1000000000000000000000000000000001", "--q", "2"),
+        ("catalog", "typeA", "--p", "100002", "--q", "1"),
+        ("verify", "--relations", "--max-exp", "1001"),
+        ("verify", "--relations", "--max-exp", "100000000000000000000"),
     ],
     ids=[
         "double-caret",
@@ -161,6 +172,10 @@ _HALF = "9" * 3000
         "expect-string",
         "involution-float",
         "zero-exponent",
+        "type-a-huge-p",
+        "type-a-over-rotation-bound",
+        "max-exp-over-bound",
+        "max-exp-huge",
     ],
 )
 def test_verify_malformed_word(capsys, tmp_path, monkeypatch, args):

@@ -168,10 +168,8 @@ def test_runs_equal_unit_copies(p, q, variant):
     d, c = report.diagram, report.contact
     assert any(k.count > 1 for k in d.knots)
     units = SurgeryDiagram(
-        d.ambient,
         tuple(dataclasses.replace(k, count=1) for k in d.knots for _ in range(k.count)),
         d.pairs,
-        d.notes,
     )
     split = legalize(units, find_fix_rule(report.word) is not None)
     assert units.to_json_dict() == d.to_json_dict()
@@ -190,7 +188,7 @@ def test_legalize_key_separates_roles(fix):
         SurgeryKnot(0, CURVE_APB, -1, TorusType.C4),
         SurgeryKnot(0, CURVE_APB, -1, TorusType.C3),
     )
-    d = SurgeryDiagram("S3_cst", knots, ((CURVE_APB, CURVE_APB, 1),))
+    d = SurgeryDiagram(knots, ((CURVE_APB, CURVE_APB, 1),))
     c = legalize(d, fix)
     alone = tuple(_knot_data(k, fix) for k in knots)
     assert alone[1] != alone[2]

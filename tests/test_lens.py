@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eqsurg.contact import TightnessHint
+from eqsurg.contfrac import expand
 from eqsurg.lens import (
+    BuildReport,
     InadmissiblePair,
     LensTarget,
     Variant,
@@ -19,7 +21,13 @@ from eqsurg.lens import (
     type_A_chain,
 )
 from eqsurg.matrices import IntMatrix
-from eqsurg.words import eval_word, format_word, validate_equivariant_shape
+from eqsurg.words import (
+    ShapeError,
+    eval_word,
+    format_word,
+    parse_word,
+    validate_equivariant_shape,
+)
 
 
 def test_target_invariants():
@@ -111,6 +119,21 @@ def test_build_report_json_keys():
     assert doc["palindrome"] is True
     assert doc["word"] == "b^2 a^2 b^2 a^2 | cst"
     assert doc["matrix_ok"] is True and doc["shape_ok"] is True
+
+
+def test_build_report_without_shape():
+    # a word with no equivariant shape has no diagrams, no verdicts and no flags
+    target = LensTarget(3, 1, Variant.C)
+    word = parse_word("a^1 | cst")
+    with pytest.raises(ShapeError):
+        validate_equivariant_shape(word)
+    r = BuildReport(target, expand(3, 1), word, eval_word(word) == target.matrix, False, None)
+    assert r.shape_ok is False and r.diagram is None
+    assert r.legal is False and r.flags == []
+    doc = r.to_json_dict()
+    assert doc["diagram"] is None and doc["contact"] is None
+    assert doc["shape_ok"] is False and doc["legal"] is False
+    assert r.census_row()["shape_ok"] is False
 
 
 def test_middle_legality_trichotomy_small_census():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -17,6 +18,7 @@ from eqsurg.words import (
     TwistWord,
     WordError,
     apply_fix_rule,
+    curve_name,
     eval_word,
     factor_palindrome,
     find_fix_rule,
@@ -194,6 +196,68 @@ def test_shape_mutation_is_detected(seed):
     assert changed or not shape_ok
 
 
+def _split_error(mid, base):
+    for c, e in mid:
+        if c.image_under(base) != c:
+            return (
+                f"factor {curve_name(c)}^{e}: curve is not "
+                "base-invariant and has no mirror partner"
+            )
+    for (ci, _), (cj, _) in itertools.combinations(mid, 2):
+        if ci != cj and SymplecticForm(1).pairing(ci.coords, cj.coords) != 0:
+            return f"middle curves {curve_name(ci)} and {curve_name(cj)} are not disjoint"
+    return None
+
+
+def _shape_every_split(w):
+    """Reference search over every split t = t_max ... 0: (outer, middle,
+    mirror) of the first split whose middle is valid, else the error at t_max."""
+    fs, n = w.factors, len(w.factors)
+    t_max = 0
+    while t_max < n // 2 and fs[n - 1 - t_max] == (
+        fs[t_max][0].image_under(w.base), fs[t_max][1]
+    ):
+        t_max += 1
+    errors = []
+    for t in range(t_max, -1, -1):
+        error = _split_error(fs[t:n - t], w.base)
+        if error is None:
+            return fs[:t], fs[t:n - t], tuple(c for c, _ in reversed(fs[n - t:]))
+        errors.append(error)
+    return errors[0]
+
+
+_G1_FACTOR = st.tuples(
+    st.sampled_from(
+        [CURVE_A, CURVE_B, CURVE_APB, CURVE_AMB, CurveClass.of(1, 2), CurveClass.of(2, -1)]
+    ),
+    st.integers(-3, 3).filter(bool),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(_G1_FACTOR, max_size=4),
+    st.lists(st.tuples(st.sampled_from([CURVE_APB, CURVE_AMB]), st.integers(-3, 3).filter(bool)),
+             max_size=3),
+    st.data(),
+)
+def test_shape_single_split_matches_every_split(outer, middle, data):
+    """Trying only the longest mirrored outer part gives the same shape, or
+    the same error text, as trying every shorter one too."""
+    factors = outer + middle + [(c.image_under(CST), e) for c, e in reversed(outer)]
+    if factors and data.draw(st.booleans(), label="perturb"):
+        factors[data.draw(st.integers(0, len(factors) - 1))] = data.draw(_G1_FACTOR)
+    w = TwistWord.of(factors, base=CST)
+    expected = _shape_every_split(w)
+    try:
+        shape = validate_equivariant_shape(w)
+    except ShapeError as exc:
+        assert str(exc) == expected
+    else:
+        assert (shape.outer, shape.middle, shape.mirror) == expected
+
+
 # --- recursive invariance ----------------------------------------------------
 
 
@@ -240,6 +304,26 @@ def test_recursive_invariance_rejects_mismatched_pair_exponents():
 def test_recursive_invariance_rejects_genus_mismatch():
     with pytest.raises(WordError):
         validate_recursive_invariance(parse_word("v[1,0,1,0]", genus=2), CST)
+
+
+@pytest.mark.parametrize(
+    "s, text",
+    [
+        (IntMatrix.identity(2), "s must be an anti-symplectic involution"),  # symplectic
+        (IntMatrix.from_rows([[0, 1], [1, 1]]), "s must be an anti-symplectic involution"),
+        (IntMatrix.identity(4), "s acts at genus 2 but the word lies at genus 1"),
+    ],
+    ids=["involution-not-anti-symplectic", "anti-symplectic-not-involution", "genus-mismatch"],
+)
+def test_real_structure_checked_alike(s, text):
+    # a word's base, the recursive-invariance structure and the palindrome
+    # structure go through one check with one set of error texts
+    with pytest.raises(WordError, match=f"^base{text[1:]}$"):
+        TwistWord.of([(CURVE_APB, 1)], base=s)
+    with pytest.raises(WordError, match=f"^{text}$"):
+        validate_recursive_invariance(tw((CURVE_APB, 1)), s)
+    with pytest.raises(WordError, match=f"^{text}$"):
+        factor_palindrome([CURVE_APB], [1], s)
 
 
 # --- palindrome factorization ------------------------------------------------
