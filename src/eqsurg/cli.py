@@ -51,6 +51,11 @@ class _Parser(argparse.ArgumentParser):
 # print megabytes or exhaust memory.
 MAX_GENUS = 100
 
+# `lens --p P --q 1` prints one knot document per copy of its run of about
+# P parallel knots (P = 20,001 prints 12.2 MB); past this bound the
+# output would exhaust memory.
+MAX_P = 10_000
+
 
 def _check_genus(genus: int) -> None:
     if genus > MAX_GENUS:
@@ -83,6 +88,8 @@ def _emit(doc: dict, fmt: str, text_renderer=None) -> None:
 
 
 def cmd_lens(args) -> int:
+    if args.p > MAX_P:
+        raise UsageError(f"--p must be at most {MAX_P}, got {args.p}")
     try:
         variant = Variant.parse(args.variant)
         report = build(args.p, args.q, variant)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 class DimensionMismatch(ValueError):
@@ -130,12 +130,13 @@ class IntMatrix:
         return "[" + ", ".join("[" + ", ".join(map(str, r)) + "]" for r in self.rows) + "]"
 
 
-@dataclass(frozen=True)
-class CurveClass:
+class CurveClass(NamedTuple):
     """Primitive homology class of an unoriented essential curve.
 
     Normalized so the first nonzero coordinate is positive; a class and
-    its negative denote the same unoriented curve.
+    its negative denote the same unoriented curve.  A tuple underneath,
+    so hashing and equality run at C speed; the hash is that of
+    (coords,).
     """
 
     coords: tuple[int, ...]
@@ -191,7 +192,13 @@ class SymplecticForm:
 
 
 def is_involution(a: IntMatrix) -> bool:
-    return a @ a == IntMatrix.identity(a.dim)
+    """True iff a @ a is the identity, checked entry by entry."""
+    cols = list(zip(*a.rows))
+    return all(
+        sum(x * y for x, y in zip(row, col)) == (i == j)
+        for i, row in enumerate(a.rows)
+        for j, col in enumerate(cols)
+    )
 
 
 def transvection(curve: CurveClass, power: int, form: SymplecticForm) -> IntMatrix:
@@ -206,8 +213,17 @@ def transvection(curve: CurveClass, power: int, form: SymplecticForm) -> IntMatr
 
 
 def is_anti_symplectic(a: IntMatrix, form: SymplecticForm | None = None) -> bool:
-    """True iff a reverses the intersection form: a^T J a = -J."""
+    """True iff a reverses the intersection form: a^T J a = -J.
+
+    Checked on the columns: <a e_i, a e_j> = -<e_i, e_j> for every i < j,
+    where <e_i, e_j> is 1 if j == i + g and 0 otherwise.
+    """
     if form is None:
         form = SymplecticForm(a.genus)
-    j = form.matrix()
-    return a.transpose() @ j @ a == -j
+    g = form.genus
+    cols = list(zip(*a.rows))
+    return all(
+        form.pairing(cols[i], cols[j]) == -(j == i + g)
+        for i in range(len(cols))
+        for j in range(i + 1, len(cols))
+    )

@@ -35,6 +35,12 @@ def test_lens_admissible_q1(capsys):
     assert json.loads(out)["matrix_ok"] is True
 
 
+def test_lens_at_p_bound(capsys):
+    code, out, _ = run(capsys, "lens", "--p", "10000", "--q", "1")
+    assert code == 0
+    assert json.loads(out)["matrix_ok"] is True
+
+
 def test_census_small(capsys):
     code, out, _ = run(capsys, "census", "--max-p", "5")
     assert code == 0
@@ -151,6 +157,8 @@ _HALF = "9" * 3000
         ("catalog", "typeA", "--p", "100002", "--q", "1"),
         ("verify", "--relations", "--max-exp", "1001"),
         ("verify", "--relations", "--max-exp", "100000000000000000000"),
+        ("lens", "--p", "10001", "--q", "1"),
+        ("lens", "--p", "1000000000000000000000000000000000", "--q", "1"),
     ],
     ids=[
         "double-caret",
@@ -176,6 +184,8 @@ _HALF = "9" * 3000
         "type-a-over-rotation-bound",
         "max-exp-over-bound",
         "max-exp-huge",
+        "lens-p-over-bound",
+        "lens-huge-p",
     ],
 )
 def test_verify_malformed_word(capsys, tmp_path, monkeypatch, args):

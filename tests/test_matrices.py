@@ -17,7 +17,12 @@ from eqsurg.matrices import (
 )
 from eqsurg.words import CST, TwistWord, eval_word
 
-from conftest import random_anti_symplectic, random_curve, random_symplectic
+from conftest import (
+    random_anti_symplectic,
+    random_curve,
+    random_symplectic,
+    swap_involution,
+)
 
 entries = st.integers(min_value=-30, max_value=30)
 
@@ -132,6 +137,71 @@ def test_random_anti_symplectic_properties(seed):
     assert is_involution(s)
     assert is_anti_symplectic(s)
     assert s.det() == (-1) ** g
+
+
+def _assert_checks_match_formulas(a: IntMatrix) -> None:
+    # the entry-by-entry checks against the matrix formulas they replace
+    j = SymplecticForm(a.genus).matrix()
+    assert is_involution(a) == (a @ a == IntMatrix.identity(a.dim))
+    assert is_anti_symplectic(a) == (a.transpose() @ j @ a == -j)
+
+
+@given(
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=0, max_value=10**6),
+    st.sampled_from(["real", "negated", "perturbed", "symplectic"]),
+)
+@settings(max_examples=200, deadline=None)
+def test_real_structure_checks_match_matrix_formulas(g, seed, kind):
+    rng = random.Random(seed)
+    s = random_anti_symplectic(g, rng)
+    if kind == "real":
+        a = s
+    elif kind == "negated":
+        a = -s
+    elif kind == "perturbed":
+        rows = s.to_lists()
+        rows[rng.randrange(2 * g)][rng.randrange(2 * g)] += rng.choice([-2, -1, 1, 2])
+        a = IntMatrix.from_rows(rows)
+    else:
+        a = random_symplectic(g, rng)
+    _assert_checks_match_formulas(a)
+    if kind in ("real", "negated"):
+        assert is_involution(a) and is_anti_symplectic(a)
+    if kind == "symplectic":
+        assert not is_anti_symplectic(a)
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_real_structure_checks_on_perturbed_swap(g):
+    # adding d at entry (r, k), r != k, of the block swap breaks the pairing
+    # of columns k and r alone, so a check that skips any pair is caught
+    for r in range(2 * g):
+        for k in range(2 * g):
+            for d in (-1, 1, 2):
+                rows = swap_involution(g).to_lists()
+                rows[r][k] += d
+                _assert_checks_match_formulas(IntMatrix.from_rows(rows))
+
+
+@given(st.integers(min_value=0, max_value=10**6))
+def test_curve_class_value_semantics(seed):
+    rng = random.Random(seed)
+    g = rng.randint(1, 3)
+    v = [rng.randint(-9, 9) for _ in range(2 * g)]
+    w = [rng.randint(-9, 9) for _ in range(2 * g)]
+    if not any(v) or not any(w):
+        return
+    u = [x // gcd(*v) for x in v]
+    c, neg = CurveClass.from_coords(u), CurveClass.from_coords([-x for x in u])
+    assert neg == c and hash(neg) == hash(c) == hash((c.coords,))
+    assert {c: "c"}[neg] == "c"
+    other = CurveClass.from_coords([x // gcd(*w) for x in w])
+    if other.coords != c.coords:
+        assert other != c and other not in {c: "c"}
+    assert c != CurveClass.from_coords(c.coords + (0, 0))  # other genus
+    with pytest.raises(AttributeError):
+        c.coords = other.coords
 
 
 def test_transvection_fixes_its_curve():
