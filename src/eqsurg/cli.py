@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from .contfrac import BadInput
@@ -76,12 +77,62 @@ MAX_ROTATION_CHOICES = 100_000
 _TOO_LONG = "the result holds an integer too long to print"
 
 
+_NO_ITEM = object()  # "no previous item": None is a list item like any other
+
+
+def _dumps(obj, indent: str = "") -> str:
+    """`json.dumps(obj, indent=2)`, byte for byte, for dicts with str keys,
+    lists, tuples, str, int, bool and None; any other type is a TypeError.
+
+    A run of consecutive references to one object inside a list is encoded
+    once and its text repeated: the renderers print the copies of a middle
+    run as one shared document, which the stdlib's indented (pure-Python)
+    encoder would encode again for every copy.
+    """
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)  # ValueError past the digit limit
+    # A container's text is one join over its chunks, so a long item's
+    # text is copied once per enclosing level, not once per wrapping step.
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        chunks = ["[\n" + inner]
+        prev = text = _NO_ITEM
+        for item in obj:
+            if item is not prev:
+                prev, text = item, _dumps(item, inner)
+            chunks += (text, sep)
+        chunks[-1] = "\n" + indent + "]"
+        return "".join(chunks)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        chunks = ["{\n" + inner]
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            chunks += (encode_basestring_ascii(key), ": ", _dumps(value, inner), sep)
+        chunks[-1] = "\n" + indent + "}"
+        return "".join(chunks)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _emit(doc: dict, fmt: str, text_renderer=None) -> None:
     try:
         if fmt == "text" and text_renderer:
             out = text_renderer()
         else:
-            out = json.dumps(doc, indent=2)
+            out = _dumps(doc)
     except ValueError:  # an integer past the digit limit
         raise UsageError(_TOO_LONG) from None
     print(out)

@@ -181,8 +181,9 @@ class ContactDiagram:
             doc = {**knot.to_json_dict(), "contact": data.to_json_dict()}
             knots += [doc] * knot.count
         return {
-            **self.base.to_json_dict(),
+            "ambient": "S3_cst",
             "knots": knots,
+            "notes": [],
             "overall_legal": self.overall_legal,
             # tightness of a built diagram is never decided
             "tightness_hint": TightnessHint.UNKNOWN.value,

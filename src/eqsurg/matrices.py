@@ -212,15 +212,14 @@ def transvection(curve: CurveClass, power: int, form: SymplecticForm) -> IntMatr
     return IntMatrix.identity(form.dim).twist(curve, power)
 
 
-def is_anti_symplectic(a: IntMatrix, form: SymplecticForm | None = None) -> bool:
+def is_anti_symplectic(a: IntMatrix) -> bool:
     """True iff a reverses the intersection form: a^T J a = -J.
 
     Checked on the columns: <a e_i, a e_j> = -<e_i, e_j> for every i < j,
     where <e_i, e_j> is 1 if j == i + g and 0 otherwise.
     """
-    if form is None:
-        form = SymplecticForm(a.genus)
-    g = form.genus
+    g = a.genus
+    form = SymplecticForm(g)
     cols = list(zip(*a.rows))
     return all(
         form.pairing(cols[i], cols[j]) == -(j == i + g)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eqsurg.cli import main
+from eqsurg.cli import _dumps, main
 
 
 def run(capsys, *argv):
@@ -285,3 +285,51 @@ def test_factor_palindrome_inadmissible(capsys):
 def test_no_command_is_usage_error(capsys):
     code, _, err = run(capsys)
     assert code == 64
+
+
+# JSON trees of the kinds the renderers build, plus the edge cases of the
+# encoder: escapes, long ints, bools next to equal ints, tuples, empty and
+# nested containers, lists that start with None, and runs of one shared
+# object (a list of [x] * n copies).
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**60), max_value=10**60)
+    | st.text()
+    | st.sampled_from(["", "é", "\x00\x1f\n\t\"\\/", "\u2028", "\U0001f600", "\x7f"])
+)
+
+
+def _containers(children):
+    runs = st.lists(st.tuples(children, st.integers(1, 4)), max_size=4)
+    return (
+        st.lists(children, max_size=5)
+        | st.lists(children, max_size=5).map(tuple)
+        | st.lists(children, max_size=4).map(lambda items: [None, *items])
+        | st.dictionaries(st.text(max_size=6), children, max_size=5)
+        | runs.map(lambda rs: [item for item, n in rs for _ in range(n)])
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(_SCALARS, _containers, max_leaves=40))
+@example([None, None, 0, False, 0, 1, True, 1])
+@example([[], [], {}, {}, (), ""])
+@example({"a": [{"k": [1]}] * 3 + [{"k": [1]}], "b": ((), [()], {"": None})})
+def test_dumps_matches_json_dumps(tree):
+    assert _dumps(tree) == json.dumps(tree, indent=2)
+
+
+@pytest.mark.parametrize(
+    "bad", [1.5, [0, 0.5], {"a": {"b": float("nan")}}, {1: 2}, {"a": {None: 1}}, {1, 2}, b"x"]
+)
+def test_dumps_rejects_other_types(bad):
+    with pytest.raises(TypeError):
+        _dumps(bad)
+
+
+def test_dumps_int_past_digit_limit():
+    with pytest.raises(ValueError):
+        _dumps({"x": [10**4300]})  # 4301 digits
+    assert _dumps(10**4299) == str(10**4299)  # 4300 digits still print

@@ -46,6 +46,12 @@ GOLDEN = [
      "38f9794e564a41d7e953fa04ce0446512bdbe0920c4908f7915ede5e9189bb97"),
     ("lens --p 120 --q 71 --variant C' --format text",
      "ec04343a428ee0e7fbaceadfa7b241ed8cbbcd7fd11b2a02dffdaa8421cb4e49"),
+    # the largest lens output allowed (--p at MAX_P): runs of about 10,000
+    # copies of one shared knot document
+    ("lens --p 10000 --q 1 --variant C",
+     "062f01a1c08b054726f2f404597380dee4c045d3049c9f132ed3b6c01963e5d1"),
+    ("lens --p 10000 --q 1 --variant C'",
+     "620b8b343fd9f4484e406cf82489059ba2ede35d4a48537ddf1bfc907f48cc6c"),
 ]
 
 

@@ -121,6 +121,18 @@ def test_build_report_json_keys():
     assert doc["matrix_ok"] is True and doc["shape_ok"] is True
 
 
+def test_middle_run_copies_share_one_document():
+    # the encoder writes a run of one shared document once; L(1000, 1) has
+    # one invariant run of about 1000 copies
+    report = build(1000, 1, Variant.C)
+    (run,) = report.diagram.knots
+    assert run.count == 999
+    for doc in (report.diagram.to_json_dict(), report.contact.to_json_dict()):
+        middle = [k for k in doc["knots"] if k["level"] == 0]
+        assert len(middle) == run.count
+        assert all(k is middle[0] for k in middle)
+
+
 def test_build_report_without_shape():
     # a word with no equivariant shape has no diagrams, no verdicts and no flags
     target = LensTarget(3, 1, Variant.C)
