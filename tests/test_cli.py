@@ -294,7 +294,6 @@ def test_no_command_is_usage_error(capsys):
 _SCALARS = (
     st.none()
     | st.booleans()
-    | st.integers()
     | st.integers(min_value=-(10**60), max_value=10**60)
     | st.text()
     | st.sampled_from(["", "é", "\x00\x1f\n\t\"\\/", "\u2028", "\U0001f600", "\x7f"])
