@@ -57,6 +57,11 @@ MAX_GENUS = 100
 # output would exhaust memory.
 MAX_P = 10_000
 
+# The census scans O(max_p^2) pairs before its first build and prints
+# about 67 MB at max_p = 2000 (10.6 s); past this bound it would run for
+# hours and print gigabytes.
+MAX_CENSUS_P = 2_000
+
 
 def _check_genus(genus: int) -> None:
     if genus > MAX_GENUS:
@@ -171,6 +176,8 @@ def cmd_lens(args) -> int:
 def cmd_census(args) -> int:
     if args.max_p < 2:
         raise UsageError("--max-p must be at least 2")
+    if args.max_p > MAX_CENSUS_P:
+        raise UsageError(f"--max-p must be at most {MAX_CENSUS_P}, got {args.max_p}")
     rows = []
     ok = True
     for p, q in admissible_pairs(args.max_p):
@@ -362,10 +369,16 @@ def build_parser() -> _Parser:
     return parser
 
 
+# Built once per process: building costs about 1.2 ms, more than half of a
+# small command, and parsing leaves the parser unchanged (each call makes a
+# fresh Namespace; `_Parser.error` raises).  The `cmd_*` functions it binds
+# look up `build`, `parse_word`, ... by module name when they run.
+_PARSER = build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         if not getattr(args, "command", None):
             raise UsageError("a command is required")
         return args.func(args)

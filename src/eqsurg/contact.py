@@ -175,19 +175,25 @@ class ContactDiagram:
         pairs = [(k, _knot_data(k, False)) for k in self.base.pair_knots()]
         return pairs + list(zip(self.base.knots, self.knot_data))
 
-    def to_json_dict(self) -> dict:
-        knots = []
+    def to_json_dicts(self) -> tuple[dict, dict]:
+        """The JSON documents of the surgery diagram (`base`) and of this
+        diagram, from one pass over `entries()`.  In each knot list the
+        copies of a knot share one document."""
+        knots, contact_knots = [], []
         for knot, data in self.entries():
-            doc = {**knot.to_json_dict(), "contact": data.to_json_dict()}
+            doc = knot.to_json_dict()
             knots += [doc] * knot.count
-        return {
+            contact_knots += [{**doc, "contact": data.to_json_dict()}] * knot.count
+        diagram = {"ambient": "S3_cst", "knots": knots, "notes": []}
+        contact = {
             "ambient": "S3_cst",
-            "knots": knots,
+            "knots": contact_knots,
             "notes": [],
             "overall_legal": self.overall_legal,
             # tightness of a built diagram is never decided
             "tightness_hint": TightnessHint.UNKNOWN.value,
         }
+        return diagram, contact
 
     def render_text(self) -> str:
         lines = [self.base.render_text()]

@@ -82,12 +82,15 @@ class LensTarget:
 
 
 def admissible_pairs(max_p: int) -> list[tuple[int, int]]:
-    """All (p, q) with 2 <= p <= max_p, 0 < q < p, gcd 1, q^2 = 1 mod p."""
+    """All (p, q) with 2 <= p <= max_p, 0 < q < p, q^2 = 1 mod p.
+
+    Such p and q are coprime: a common divisor of both divides q^2 - (q^2 - 1).
+    """
     return [
         (p, q)
         for p in range(2, max_p + 1)
         for q in range(1, p)
-        if gcd(p, q) == 1 and (q * q) % p == 1 % p
+        if (q * q) % p == 1
     ]
 
 
@@ -216,6 +219,9 @@ class BuildReport:
         }
 
     def to_json_dict(self) -> dict:
+        diagram = contact = None
+        if self.contact is not None:
+            diagram, contact = self.contact.to_json_dicts()
         return {
             "p": self.target.p,
             "q": self.target.q,
@@ -228,8 +234,8 @@ class BuildReport:
             "fix_rule_applied": self.fix_rule_applied,
             "flags": self.flags,
             "legal": self.legal,
-            "diagram": None if self.diagram is None else self.diagram.to_json_dict(),
-            "contact": None if self.contact is None else self.contact.to_json_dict(),
+            "diagram": diagram,
+            "contact": contact,
         }
 
 
@@ -279,7 +285,7 @@ class CatalogEntry:
         return contact.base, contact
 
     def to_json_dict(self) -> dict:
-        d, c = self.diagrams()
+        diagram, contact = assemble(self.word).to_json_dicts()
         return {
             "name": self.name,
             "word": format_word(self.word),
@@ -287,8 +293,8 @@ class CatalogEntry:
             "matrix_ok": self.matrix_ok,
             "summary": self.summary,
             "tightness_hint": self.tightness_hint.value,
-            "diagram": d.to_json_dict(),
-            "contact": c.to_json_dict(),
+            "diagram": diagram,
+            "contact": contact,
         }
 
 

@@ -262,7 +262,8 @@ class SurgeryDiagram:
     parallel copies.  `pairs` holds the mirrored pairs as (primary curve,
     mirror curve, coeff), deepest first: pair idx sits on levels -i and
     +i with i = len(pairs) - idx.  The renderers print the pair knots,
-    then one entry per copy of each invariant knot; in `to_json_dict`
+    then one entry per copy of each invariant knot; in the JSON document,
+    which `ContactDiagram.to_json_dicts` renders next to the contact one,
     the copies of a knot share one document.  The ambient manifold is
     always the standard real S^3 and a diagram carries no notes.
     """
@@ -281,12 +282,6 @@ class SurgeryDiagram:
             out.append(SurgeryKnot(idx - t, primary, coeff))
             out.append(SurgeryKnot(t - idx, mirror, coeff))
         return out
-
-    def to_json_dict(self) -> dict:
-        knots = []
-        for k in self.pair_knots() + list(self.knots):
-            knots += [k.to_json_dict()] * k.count
-        return {"ambient": "S3_cst", "knots": knots, "notes": []}
 
     def render_text(self) -> str:
         lines = ["ambient: S3_cst"]

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from eqsurg import cli
 from eqsurg.cli import _dumps, main
 
 
@@ -159,6 +161,8 @@ _HALF = "9" * 3000
         ("verify", "--relations", "--max-exp", "100000000000000000000"),
         ("lens", "--p", "10001", "--q", "1"),
         ("lens", "--p", "1000000000000000000000000000000000", "--q", "1"),
+        ("census", "--max-p", "2001"),
+        ("census", "--max-p", "1" + "0" * 30),
     ],
     ids=[
         "double-caret",
@@ -186,6 +190,8 @@ _HALF = "9" * 3000
         "max-exp-huge",
         "lens-p-over-bound",
         "lens-huge-p",
+        "census-max-p-over-bound",
+        "census-huge-max-p",
     ],
 )
 def test_verify_malformed_word(capsys, tmp_path, monkeypatch, args):
@@ -285,6 +291,60 @@ def test_factor_palindrome_inadmissible(capsys):
 def test_no_command_is_usage_error(capsys):
     code, _, err = run(capsys)
     assert code == 64
+
+
+def test_census_max_p_bound_message(capsys):
+    assert run(capsys, "census", "--max-p", "2001") == (
+        64, "", "usage error: --max-p must be at most 2000, got 2001\n"
+    )
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# (argv, exit code, stdout digest or "" for no output, exact stderr)
+_REUSE = [
+    (("lens", "--q", "1"), 64, "",
+     "usage error: the following arguments are required: --p\n"),
+    (("lens", "--p", "abc", "--q", "1"), 64, "",
+     "usage error: argument --p: invalid int value: 'abc'\n"),
+    (("lens", "--p", "2", "--q", "1", "--format", "xml"), 64, "",
+     "usage error: argument --format: invalid choice: 'xml' (choose from 'json', 'text')\n"),
+    (("bogus",), 64, "",
+     "usage error: argument command: invalid choice: 'bogus' (choose from 'lens', "
+     "'census', 'catalog', 'verify', 'factor-palindrome')\n"),
+    ((), 64, "", "usage error: a command is required\n"),
+    (("catalog", "nope"), 64, "",
+     "usage error: argument name: invalid choice: 'nope' (choose from 's1xs2', 'rp3', "
+     "'typeA')\n"),
+    (("lens", "--p", "5", "--q", "2"), 2, "",
+     "inadmissible: q^2 = 4 mod 5; the gluing map is an involution only when q^2 = 1 mod p\n"),
+    (("lens", "--p", "4", "--q", "3", "--format", "text"), 0,
+     "0768bafa605e71ab8bf745b3cc434c466bc768bf61f4327ec671858abc23da89", ""),
+    (("verify", "--word", "a^1 | cst", "--expect", "[[-1,0],[2,1]]"), 1,
+     "1ac92bb1517159d36c638d13c948bca7d23ce535d9d1af2a42fa53a49902f3fd", ""),
+]
+
+
+def test_reused_parser_gives_same_results(capsys):
+    # main parses with one parser built at import; run every command twice,
+    # interleaved, so each parse follows parses of other commands
+    for _ in range(2):
+        for argv, code, digest, err in _REUSE:
+            got_code, got_out, got_err = run(capsys, *argv)
+            assert (got_code, got_err) == (code, err), argv
+            assert (_sha256(got_out) if got_out else "") == digest, argv
+
+
+def test_main_does_not_build_a_parser(capsys, monkeypatch):
+    def fail():
+        raise AssertionError("build_parser called by main")
+
+    monkeypatch.setattr(cli, "build_parser", fail)
+    code, out, _ = run(capsys, "lens", "--p", "2", "--q", "1")
+    assert code == 0 and json.loads(out)["legal"] is True
+    assert run(capsys, "lens", "--p", "abc", "--q", "1")[0] == 64
 
 
 # JSON trees of the kinds the renderers build, plus the edge cases of the

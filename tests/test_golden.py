@@ -60,3 +60,31 @@ def test_stdout_digest(capsys, command, digest):
     assert main(command.split()) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# factor-palindrome at genus 2 and 3 over an involution read from a file:
+# the block swap conjugated by two twists.  The digest covers stdout only,
+# which does not name the file.
+INVOLUTIONS = {
+    2: "[[2,0,-1,0],[0,-2,0,-1],[3,0,-2,0],[0,3,0,2]]",
+    3: "[[1,2,2,0,0,2],[0,-1,-2,0,0,-2],[0,-3,-3,2,-2,-2],"
+       "[1,1,0,-1,0,0],[1,4,3,-2,1,3],[0,3,4,-2,2,3]]",
+}
+PALINDROMES = [
+    (2, "v[1,0,1,0]^2 v[1,2,1,-6]^-1 v[1,-2,3,2]^3",
+     "73fbd0f90bf3775ff80e98ba2bce0993c43f8fbc505eedba93a7a30367fb3cad"),
+    (3, "v[2,-2,3,-4,-1,-3]^-2 v[6,-6,-11,3,12,11]^1",
+     "2d1abda2a031eef22e430eb0ffeddeda7e4bc0d3cda554c782fe6a473798875f"),
+]
+
+
+@pytest.mark.parametrize("genus, curves, digest", PALINDROMES,
+                         ids=[f"genus-{g}" for g, _, _ in PALINDROMES])
+def test_factor_palindrome_involution_file_digest(capsys, tmp_path, genus, curves, digest):
+    path = tmp_path / "involution.json"
+    path.write_text(INVOLUTIONS[genus])
+    argv = ["factor-palindrome", "--genus", str(genus), "--involution", str(path),
+            "--curves", curves]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -50,6 +50,19 @@ def test_admissible_pairs_enumeration():
     assert admissible_pairs(5) == [(2, 1), (3, 1), (3, 2), (4, 1), (4, 3), (5, 1), (5, 4)]
 
 
+def test_admissible_pairs_match_gcd_definition():
+    # q^2 = 1 mod p already makes p and q coprime; the listing keeps the
+    # definition that also tests the gcd
+    with_gcd = [
+        (p, q)
+        for p in range(2, 301)
+        for q in range(1, p)
+        if gcd(p, q) == 1 and (q * q) % p == 1 % p
+    ]
+    for max_p in range(-1, 301):
+        assert admissible_pairs(max_p) == [(p, q) for p, q in with_gcd if p <= max_p]
+
+
 def test_factor_words_known_cases():
     assert format_word(factor_C(2, 1)) == "a^-1 (a+b)^1 b^-1 | cst"
     assert format_word(factor_C(5, 4)) == "b^2 a^2 b^2 a^2 | cst"
@@ -127,7 +140,8 @@ def test_middle_run_copies_share_one_document():
     report = build(1000, 1, Variant.C)
     (run,) = report.diagram.knots
     assert run.count == 999
-    for doc in (report.diagram.to_json_dict(), report.contact.to_json_dict()):
+    full = report.to_json_dict()
+    for doc in (full["diagram"], full["contact"]):
         middle = [k for k in doc["knots"] if k["level"] == 0]
         assert len(middle) == run.count
         assert all(k is middle[0] for k in middle)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eqsurg.contact import legalize
 from eqsurg.matrices import CurveClass
 from eqsurg.surgery import (
     SurgeryError,
@@ -169,7 +170,7 @@ def test_diagram_pairs_mirror_levels_and_coeffs():
 
 def test_diagram_json_shape():
     d = diagram_of("(a+b)^-1 | cst")
-    doc = d.to_json_dict()
+    doc, _ = legalize(d).to_json_dicts()
     assert doc["ambient"] == "S3_cst"
     assert doc["knots"][0] == {
         "level": 0,
