@@ -82,65 +82,95 @@ MAX_ROTATION_CHOICES = 100_000
 _TOO_LONG = "the result holds an integer too long to print"
 
 
-_NO_ITEM = object()  # "no previous item": None is a list item like any other
+def _encode(obj, indent: str, out: list) -> None:
+    """Append the text of `json.dumps(obj, indent=2)`, nested at `indent`,
+    to `out` as one flat list of chunks.
 
-
-def _dumps(obj, indent: str = "") -> str:
-    """`json.dumps(obj, indent=2)`, byte for byte, for dicts with str keys,
-    lists, tuples, str, int, bool and None; any other type is a TypeError.
-
-    A run of consecutive references to one object inside a list is encoded
-    once and its text repeated: the renderers print the copies of a middle
+    The types are those of `_dumps`: any other is a TypeError, and an int
+    past the digit limit a ValueError.  No container joins its children's
+    text, so a nested document is not copied again at each level.  A run
+    of k consecutive references to one object in a list is encoded
+    once, as text t, and emitted as the two chunks (t + sep) * (k - 1) and
+    t: one string repeat in C.  The renderers print the copies of a middle
     run as one shared document, which the stdlib's indented (pure-Python)
     encoder would encode again for every copy.
     """
     if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)  # ValueError past the digit limit
-    # A container's text is one join over its chunks, so a long item's
-    # text is copied once per enclosing level, not once per wrapping step.
-    inner = indent + "  "
-    sep = ",\n" + inner
-    if isinstance(obj, (list, tuple)):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))  # ValueError past the digit limit
+    elif isinstance(obj, (list, tuple)):
         if not obj:
-            return "[]"
-        chunks = ["[\n" + inner]
-        prev = text = _NO_ITEM
-        for item in obj:
-            if item is not prev:
-                prev, text = item, _dumps(item, inner)
-            chunks += (text, sep)
-        chunks[-1] = "\n" + indent + "]"
-        return "".join(chunks)
-    if isinstance(obj, dict):
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = ",\n" + inner
+        out.append("[\n" + inner)
+        i, n = 0, len(obj)
+        while i < n:
+            item, j = obj[i], i + 1
+            while j < n and obj[j] is item:
+                j += 1
+            if j == i + 1:
+                _encode(item, inner, out)
+            else:
+                chunks: list = []
+                _encode(item, inner, chunks)
+                text = "".join(chunks)
+                out += ((text + sep) * (j - i - 1), text)
+            out.append(sep)
+            i = j
+        out[-1] = "\n" + indent + "]"
+    elif isinstance(obj, dict):
         if not obj:
-            return "{}"
-        chunks = ["{\n" + inner]
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = ",\n" + inner
+        lead = "{\n" + inner
         for key, value in obj.items():
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            chunks += (encode_basestring_ascii(key), ": ", _dumps(value, inner), sep)
-        chunks[-1] = "\n" + indent + "}"
-        return "".join(chunks)
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+            out.append(lead + encode_basestring_ascii(key) + ": ")
+            _encode(value, inner, out)
+            lead = sep
+        out.append("\n" + indent + "}")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _dumps(obj, indent: str = "") -> str:
+    """`json.dumps(obj, indent=2)`, byte for byte, for dicts with str keys,
+    lists, tuples, str, int, bool and None: the join of `_encode`'s chunks."""
+    out: list = []
+    _encode(obj, indent, out)
+    return "".join(out)
 
 
 def _emit(doc: dict, fmt: str, text_renderer=None) -> None:
+    """Print `doc` as indented JSON, or the text renderer's output.
+
+    The whole document is encoded before anything is written, so an
+    integer past the digit limit prints nothing.  The chunks then go out
+    through one `writelines`, without a join, so the repeated text of a
+    middle run is written as it is.
+    """
+    out: list = []
     try:
         if fmt == "text" and text_renderer:
-            out = text_renderer()
+            out.append(text_renderer())
         else:
-            out = _dumps(doc)
+            _encode(doc, "", out)
     except ValueError:  # an integer past the digit limit
         raise UsageError(_TOO_LONG) from None
-    print(out)
+    out.append("\n")
+    sys.stdout.writelines(out)
 
 
 def cmd_lens(args) -> int:
@@ -178,34 +208,45 @@ def cmd_census(args) -> int:
         raise UsageError("--max-p must be at least 2")
     if args.max_p > MAX_CENSUS_P:
         raise UsageError(f"--max-p must be at most {MAX_CENSUS_P}, got {args.max_p}")
-    rows = []
+    # The document is written as it is built: the header, each row as soon
+    # as its build returns, then the summary counted along the way.  The
+    # bytes are those of `_emit` on the whole document.
+    text = args.format == "text"
+    write = sys.stdout.write
+    if not text:
+        write(f'{{\n  "max_p": {args.max_p},\n  "rows": [')
+    summary = dict.fromkeys(("rows", "matrix_ok", "legal", "flagged", "fix_rule_applied"), 0)
     ok = True
+    lead = "\n    "
     for p, q in admissible_pairs(args.max_p):
         for variant in (Variant.C, Variant.C_PRIME):
             report = build(p, q, variant)
             ok = ok and report.matrix_ok and report.shape_ok
-            rows.append(report.census_row())
-    summary = {
-        "rows": len(rows),
-        "matrix_ok": sum(r["matrix_ok"] for r in rows),
-        "legal": sum(r["legal"] for r in rows),
-        "flagged": sum(bool(r["flags"]) for r in rows),
-        "fix_rule_applied": sum(r["fix_rule_applied"] for r in rows),
-    }
-    doc = {"max_p": args.max_p, "rows": rows, "summary": summary}
-
-    def text():
-        lines = [
-            f"{r['p']:>4} {r['q']:>4} {r['variant']:<2} {r['case']:<10} "
-            f"matrix={'ok' if r['matrix_ok'] else 'FAIL'} "
-            f"shape={'ok' if r['shape_ok'] else 'FAIL'} "
-            f"legal={r['legal']} flags={','.join(r['flags']) or '-'}"
-            for r in rows
-        ]
-        lines.append(f"summary: {summary}")
-        return "\n".join(lines)
-
-    _emit(doc, args.format, text)
+            r = report.census_row()
+            summary["rows"] += 1
+            summary["matrix_ok"] += r["matrix_ok"]
+            summary["legal"] += r["legal"]
+            summary["flagged"] += bool(r["flags"])
+            summary["fix_rule_applied"] += r["fix_rule_applied"]
+            if text:
+                write(
+                    f"{r['p']:>4} {r['q']:>4} {r['variant']:<2} {r['case']:<10} "
+                    f"matrix={'ok' if r['matrix_ok'] else 'FAIL'} "
+                    f"shape={'ok' if r['shape_ok'] else 'FAIL'} "
+                    f"legal={r['legal']} flags={','.join(r['flags']) or '-'}\n"
+                )
+            else:
+                out = [lead]
+                _encode(r, "    ", out)
+                write("".join(out))
+                lead = ",\n    "
+    if text:
+        write(f"summary: {summary}\n")
+    else:
+        out = ["\n  ]" if summary["rows"] else "]", ',\n  "summary": ']
+        _encode(summary, "  ", out)
+        out.append("\n}\n")
+        write("".join(out))
     return EXIT_OK if ok else EXIT_VERIFY
 
 

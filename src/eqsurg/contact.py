@@ -128,7 +128,6 @@ class ContactKnotData:
     tb: int
     contact_coeff: int
     glue_back: Union[TorusType, Illegal, None]  # None for pair knots
-    notes: tuple[str, ...] = ()
 
     @property
     def legal(self) -> bool:
@@ -147,7 +146,7 @@ class ContactKnotData:
             "coeff": f"{self.contact_coeff:+d}",
             "glue_back": gb,
             "legal": self.legal,
-            "notes": list(self.notes),
+            "notes": [],
         }
 
 
@@ -172,7 +171,7 @@ class ContactDiagram:
     def entries(self) -> list[tuple[SurgeryKnot, ContactKnotData]]:
         """Every knot with its contact data in print order: the pair knots,
         whose data is computed here, then the invariant knots."""
-        pairs = [(k, _knot_data(k, False)) for k in self.base.pair_knots()]
+        pairs = [(k, _knot_data(k)) for k in self.base.pair_knots()]
         return pairs + list(zip(self.base.knots, self.knot_data))
 
     def to_json_dicts(self) -> tuple[dict, dict]:
@@ -209,7 +208,7 @@ class ContactDiagram:
         return "\n".join(lines)
 
 
-def _knot_data(knot: SurgeryKnot, fix_rule_available: bool) -> ContactKnotData:
+def _knot_data(knot: SurgeryKnot) -> ContactKnotData:
     tw = tw_wrt_heegaard(knot.curve)
     tb = thurston_bennequin(knot.curve)
     cc = contact_coefficient(knot.coeff, tw)
@@ -229,20 +228,16 @@ def _knot_data(knot: SurgeryKnot, fix_rule_available: bool) -> ContactKnotData:
         verdict = Illegal(IllegalReason.POSITIVE_C4_MIDDLE)
     else:
         verdict = Illegal(IllegalReason.NOT_UNIT_NUMERATOR)
-    fixable = fix_rule_available and isinstance(verdict, Illegal)
-    notes = ("fix rule applicable",) if fixable else ()
-    return ContactKnotData(tw, tb, cc, verdict, notes)
+    return ContactKnotData(tw, tb, cc, verdict)
 
 
-def legalize(d: SurgeryDiagram, fix_rule_available: bool = False) -> ContactDiagram:
+def legalize(d: SurgeryDiagram) -> ContactDiagram:
     """Promote a surgery diagram to a contact one.
 
     Invariant knots are classified through the glue-back table, one
     verdict per knot of `d.knots`, which covers all `count` copies.
     Mirrored pair knots only need Legendrian representatives respecting
     the pairing, so they are always legal; their framing data is computed
-    where it is printed (`ContactDiagram.entries`).  When a knot is
-    illegal but the word upstream contains the rewrite pattern
-    a^-1 (a+b)^1 b^-1, the verdict notes that the rewrite applies.
+    where it is printed (`ContactDiagram.entries`).
     """
-    return ContactDiagram(d, tuple(_knot_data(knot, fix_rule_available) for knot in d.knots))
+    return ContactDiagram(d, tuple(_knot_data(knot) for knot in d.knots))

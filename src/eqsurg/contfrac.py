@@ -10,9 +10,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-
-from .matrices import IntMatrix
 
 
 class Flavor(enum.Enum):
@@ -74,30 +71,8 @@ def expand(p: int, q: int, flavor: Flavor = Flavor.POSITIVE) -> ContFrac:
     return ContFrac(tuple(terms), flavor)
 
 
-def evaluate(cf: ContFrac) -> Fraction:
-    """Exact value of the nested expression r_1 - 1/(r_2 - ...)."""
-    val = Fraction(cf.terms[-1])
-    for r in reversed(cf.terms[:-1]):
-        val = r - 1 / val
-    return val
-
-
 def is_palindrome(cf: ContFrac) -> bool:
     return cf.terms == cf.terms[::-1]
-
-
-def product_matrix(cf: ContFrac) -> IntMatrix:
-    """Product of the factors [[r_i, 1], [-1, 0]] over the terms.
-
-    For p/q = [r_1,...,r_n] the result is [[p, q'], [-q, p']] with
-    determinant +1, i.e. p*p' + q*q' = 1.
-    """
-    if cf.flavor is not Flavor.POSITIVE:
-        raise BadInput("product matrix is defined for the positive flavor")
-    m = IntMatrix.identity(2)
-    for r in cf.terms:
-        m = m @ IntMatrix.from_rows([[r, 1], [-1, 0]])
-    return m
 
 
 def honda_count(cf: ContFrac) -> int:

@@ -163,13 +163,8 @@ def factor_Cprime(p: int, q: int) -> TwistWord:
 
 
 def assemble(word: TwistWord) -> ContactDiagram:
-    """Contact verdicts over the word's surgery diagram (`base`); raises ShapeError.
-
-    The verdicts note that the fix rule applies when the word contains
-    the rewrite pattern a^-1 (a+b)^1 b^-1.
-    """
-    diagram = word_to_diagram(validate_equivariant_shape(word))
-    return legalize(diagram, fix_rule_available=find_fix_rule(word) is not None)
+    """Contact verdicts over the word's surgery diagram (`base`); raises ShapeError."""
+    return legalize(word_to_diagram(validate_equivariant_shape(word)))
 
 
 @dataclass(frozen=True)
@@ -242,9 +237,10 @@ class BuildReport:
 def build(p: int, q: int, variant: Variant) -> BuildReport:
     """Factor, verify, and legalize the (p, q) gluing of the given variant.
 
-    The matrix verdict is recomputed from scratch; when the emitted word
-    contains the rewrite pattern a^-1 (a+b)^1 b^-1 and the raw contact
-    diagram is illegal, the rewrite is applied and the diagram rebuilt.
+    The matrix verdict is recomputed from scratch; when the raw contact
+    diagram is illegal, the word is scanned once for the rewrite pattern
+    a^-1 (a+b)^1 b^-1, and if it is there the rewrite is applied and the
+    diagram rebuilt.
     """
     target = LensTarget(p, q, variant)
     cf, word = _word(target)
@@ -254,8 +250,9 @@ def build(p: int, q: int, variant: Variant) -> BuildReport:
     except ShapeError:
         return BuildReport(target, cf, word, matrix_ok, False, None)
     fix_applied = False
-    if not contact.overall_legal and find_fix_rule(word) is not None:
-        fixed = apply_fix_rule(word)
+    at = None if contact.overall_legal else find_fix_rule(word)
+    if at is not None:
+        fixed = apply_fix_rule(word, at)
         if eval_word(fixed) == target.matrix:
             word = fixed
             matrix_ok = True

@@ -83,41 +83,6 @@ class IntMatrix:
     def __neg__(self) -> "IntMatrix":
         return IntMatrix(tuple(tuple(-x for x in row) for row in self.rows))
 
-    def __pow__(self, n: int) -> "IntMatrix":
-        if n < 0:  # only nonnegative powers; -1 >> 1 == -1 would never end
-            raise ValueError(f"negative matrix power {n}")
-        result = IntMatrix.identity(self.dim)
-        base = self
-        while n:
-            if n & 1:
-                result = result @ base
-            base = base @ base
-            n >>= 1
-        return result
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(tuple(zip(*self.rows)))
-
-    def det(self) -> int:
-        """Exact determinant by fraction-free Gaussian elimination (Bareiss)."""
-        n = self.dim
-        m = [list(row) for row in self.rows]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                pivot = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-                if pivot is None:
-                    return 0
-                m[k], m[pivot] = m[pivot], m[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
-
     def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
         if len(vec) != self.dim:
             raise DimensionMismatch("vector length does not match matrix dimension")

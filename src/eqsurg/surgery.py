@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Union
 
 from .matrices import CurveClass
@@ -140,58 +139,6 @@ def heegaard_minus_seifert(curve: CurveClass) -> int:
         raise SurgeryError("surface framing data is only defined at genus 1")
     m, n = curve.coords
     return m * n
-
-
-# ---------------------------------------------------------------------------
-# Boundary-torus conjugation oracle
-
-# Affine models on R^2/Z^2 in (x, y) with x the meridional direction:
-# a pair (linear sign, half-integer translation), translation in units of 1/2.
-_AFFINE = {
-    TorusType.C1: (-1, (0, 0)),
-    TorusType.C2: (1, (1, 0)),
-    TorusType.C3: (1, (0, 1)),
-    TorusType.C4: (1, (1, 1)),
-}
-
-_SAMPLE_LATTICE = [
-    (Fraction(i, 4), Fraction(j, 4)) for i in range(4) for j in range(4)
-]
-
-
-def extension_by_conjugation(knot: TorusType, s: SurgerySpec) -> TorusType:
-    """Independent oracle: the unique c_j with c_i o phi = phi o c_j.
-
-    phi = [[p, p'], [q, q']] as a linear torus map; the equation is
-    tested pointwise modulo Z^2 on a 1/4-lattice of sample points.
-    """
-
-    def phi(pt):
-        x, y = pt
-        return (s.p * x + s.p_prime * y, s.q * x + s.q_prime * y)
-
-    def involution(t: TorusType, pt):
-        sign, (tx, ty) = _AFFINE[t]
-        x, y = pt
-        return (sign * x + Fraction(tx, 2), sign * y + Fraction(ty, 2))
-
-    def congruent(u, v) -> bool:
-        return all((a - b).denominator == 1 for a, b in zip(u, v))
-
-    matches = [
-        j
-        for j in TorusType
-        if all(
-            congruent(involution(knot, phi(pt)), phi(involution(j, pt)))
-            for pt in _SAMPLE_LATTICE
-        )
-    ]
-    if len(matches) != 1:
-        raise SurgeryError(
-            f"conjugation equation has {len(matches)} solutions for "
-            f"{knot} and {s}; expected exactly one"
-        )
-    return matches[0]
 
 
 # ---------------------------------------------------------------------------

@@ -414,10 +414,10 @@ def find_fix_rule(w: TwistWord) -> Optional[int]:
     return None
 
 
-def apply_fix_rule(w: TwistWord) -> TwistWord:
-    """Replace the subword a^-1 (a+b)^1 b^-1 by (a-b)^-1 (matrix-equal)."""
-    i = find_fix_rule(w)
-    if i is None:
-        raise WordError("fix-rule pattern a^-1 (a+b)^1 b^-1 not found")
+def apply_fix_rule(w: TwistWord, i: int) -> TwistWord:
+    """Replace the subword a^-1 (a+b)^1 b^-1 at index i, as found by
+    `find_fix_rule`, by (a-b)^-1 (matrix-equal)."""
+    if w.factors[i:i + 3] != _FIX_PATTERN:
+        raise WordError(f"fix-rule pattern a^-1 (a+b)^1 b^-1 not at index {i}")
     factors = w.factors[:i] + ((CURVE_AMB, -1),) + w.factors[i + 3:]
     return TwistWord(factors, w.base, w.genus)

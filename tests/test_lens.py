@@ -9,6 +9,7 @@ from eqsurg.contact import TightnessHint
 from eqsurg.contfrac import expand
 from eqsurg.lens import (
     BuildReport,
+    assemble,
     InadmissiblePair,
     LensTarget,
     Variant,
@@ -23,17 +24,21 @@ from eqsurg.lens import (
 from eqsurg.matrices import IntMatrix
 from eqsurg.words import (
     ShapeError,
+    apply_fix_rule,
     eval_word,
+    find_fix_rule,
     format_word,
     parse_word,
     validate_equivariant_shape,
 )
 
+from conftest import det
+
 
 def test_target_invariants():
     t = LensTarget(5, 4, Variant.C)
     assert t.p_prime == -3
-    assert t.matrix.det() == -1
+    assert det(t.matrix) == -1
     assert t.matrix @ t.matrix == IntMatrix.identity(2)
 
 
@@ -178,6 +183,37 @@ def test_middle_legality_trichotomy_small_census():
             assert set(r.flags) == {"PositiveC4Middle"}
         # primed middles twist along a-b (a c1-knot): always legal
         assert build(p, q, Variant.C_PRIME).legal
+
+
+def test_build_scans_for_the_fix_rule_at_most_once(monkeypatch):
+    # only a word whose raw diagram is illegal is scanned, once, and the
+    # rewrite gets the index that scan found
+    import eqsurg.lens as lens
+
+    scans, rewrites = [], []
+
+    def scan(word):
+        scans.append(word)
+        return find_fix_rule(word)
+
+    def rewrite(word, i):
+        rewrites.append((word, i))
+        return apply_fix_rule(word, i)
+
+    monkeypatch.setattr(lens, "find_fix_rule", scan)
+    monkeypatch.setattr(lens, "apply_fix_rule", rewrite)
+    applied = 0
+    for p, q in admissible_pairs(60):
+        for variant in (Variant.C, Variant.C_PRIME):
+            del scans[:], rewrites[:]
+            r = build(p, q, variant)
+            word = (factor_C if variant is Variant.C else factor_Cprime)(p, q)
+            assert scans == ([] if assemble(word).overall_legal else [word])
+            at = find_fix_rule(word) if scans else None
+            assert rewrites == ([] if at is None else [(word, at)])
+            assert r.fix_rule_applied == (at is not None)
+            applied += r.fix_rule_applied
+    assert applied > 0
 
 
 def test_catalog_s1xs2_entries():

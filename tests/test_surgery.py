@@ -10,7 +10,6 @@ from eqsurg.surgery import (
     SurgeryError,
     SurgerySpec,
     TorusType,
-    extension_by_conjugation,
     extension_type,
     fix_delta,
     heegaard_minus_seifert,
@@ -45,6 +44,52 @@ def test_extension_type_bullets():
     assert extension_type(TorusType.C3, spec(2, 1, 1, 0)) is TorusType.C2
     # c4: p+q even
     assert extension_type(TorusType.C4, spec(1, 1, 0, -1)) is TorusType.C2
+
+
+# Boundary-torus conjugation oracle, independent of `extension_type`.
+# Affine models on R^2/Z^2 in (x, y) with x the meridional direction:
+# a pair (linear sign, half-integer translation), translation in units of 1/2.
+_AFFINE = {
+    TorusType.C1: (-1, (0, 0)),
+    TorusType.C2: (1, (1, 0)),
+    TorusType.C3: (1, (0, 1)),
+    TorusType.C4: (1, (1, 1)),
+}
+
+_SAMPLE_LATTICE = [
+    (Fraction(i, 4), Fraction(j, 4)) for i in range(4) for j in range(4)
+]
+
+
+def extension_by_conjugation(knot: TorusType, s: SurgerySpec) -> TorusType:
+    """The unique c_j with c_i o phi = phi o c_j.
+
+    phi = [[p, p'], [q, q']] as a linear torus map; the equation is
+    tested pointwise modulo Z^2 on a 1/4-lattice of sample points.
+    """
+
+    def phi(pt):
+        x, y = pt
+        return (s.p * x + s.p_prime * y, s.q * x + s.q_prime * y)
+
+    def involution(t: TorusType, pt):
+        sign, (tx, ty) = _AFFINE[t]
+        x, y = pt
+        return (sign * x + Fraction(tx, 2), sign * y + Fraction(ty, 2))
+
+    def congruent(u, v) -> bool:
+        return all((a - b).denominator == 1 for a, b in zip(u, v))
+
+    matches = [
+        j
+        for j in TorusType
+        if all(
+            congruent(involution(knot, phi(pt)), phi(involution(j, pt)))
+            for pt in _SAMPLE_LATTICE
+        )
+    ]
+    assert len(matches) == 1, f"{len(matches)} solutions for {knot} and {s}"
+    return matches[0]
 
 
 def make_spec(p, q, shift):

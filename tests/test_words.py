@@ -376,7 +376,7 @@ def test_factor_palindrome_random(seed):
 def test_fix_rule_found_and_matrix_preserved():
     w = parse_word("a^-1 (a+b)^1 b^-1 | cst")
     assert find_fix_rule(w) == 0
-    fixed = apply_fix_rule(w)
+    fixed = apply_fix_rule(w, 0)
     assert format_word(fixed) == "(a-b)^-1 | cst"
     assert eval_word(fixed) == eval_word(w)
 
@@ -384,8 +384,9 @@ def test_fix_rule_found_and_matrix_preserved():
 def test_fix_rule_absent():
     w = parse_word("a^-1 (a+b)^2 b^-1 | cst")
     assert find_fix_rule(w) is None
-    with pytest.raises(WordError):
-        apply_fix_rule(w)
+    for i in range(-4, 4):  # the pattern is at no index
+        with pytest.raises(WordError):
+            apply_fix_rule(w, i)
 
 
 @pytest.mark.parametrize(
