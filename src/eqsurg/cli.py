@@ -145,11 +145,11 @@ def _encode(obj, indent: str, out: list) -> None:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _dumps(obj, indent: str = "") -> str:
+def _dumps(obj) -> str:
     """`json.dumps(obj, indent=2)`, byte for byte, for dicts with str keys,
     lists, tuples, str, int, bool and None: the join of `_encode`'s chunks."""
     out: list = []
-    _encode(obj, indent, out)
+    _encode(obj, "", out)
     return "".join(out)
 
 
@@ -243,7 +243,7 @@ def cmd_census(args) -> int:
     if text:
         write(f"summary: {summary}\n")
     else:
-        out = ["\n  ]" if summary["rows"] else "]", ',\n  "summary": ']
+        out = ['\n  ],\n  "summary": ']  # (2, 1) is always a row
         _encode(summary, "  ", out)
         out.append("\n}\n")
         write("".join(out))

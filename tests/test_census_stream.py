@@ -21,9 +21,9 @@ from eqsurg.cli import main
 from eqsurg.lens import Variant, admissible_pairs, build
 
 
-def census_rows(max_p, report=build):
+def census_rows(max_p, build_fn=build):
     return [
-        report(p, q, v).census_row()
+        build_fn(p, q, v).census_row()
         for p, q in admissible_pairs(max_p)
         for v in (Variant.C, Variant.C_PRIME)
     ]

@@ -9,11 +9,11 @@ from eqsurg.contact import TightnessHint
 from eqsurg.contfrac import expand
 from eqsurg.lens import (
     BuildReport,
-    assemble,
     InadmissiblePair,
     LensTarget,
     Variant,
     admissible_pairs,
+    assemble,
     build,
     catalog_rp3,
     catalog_s1xs2,
@@ -188,8 +188,6 @@ def test_middle_legality_trichotomy_small_census():
 def test_build_scans_for_the_fix_rule_at_most_once(monkeypatch):
     # only a word whose raw diagram is illegal is scanned, once, and the
     # rewrite gets the index that scan found
-    import eqsurg.lens as lens
-
     scans, rewrites = [], []
 
     def scan(word):
@@ -200,8 +198,8 @@ def test_build_scans_for_the_fix_rule_at_most_once(monkeypatch):
         rewrites.append((word, i))
         return apply_fix_rule(word, i)
 
-    monkeypatch.setattr(lens, "find_fix_rule", scan)
-    monkeypatch.setattr(lens, "apply_fix_rule", rewrite)
+    monkeypatch.setattr("eqsurg.lens.find_fix_rule", scan)
+    monkeypatch.setattr("eqsurg.lens.apply_fix_rule", rewrite)
     applied = 0
     for p, q in admissible_pairs(60):
         for variant in (Variant.C, Variant.C_PRIME):
