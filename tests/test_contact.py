@@ -181,13 +181,15 @@ def test_runs_equal_unit_copies(p, q, variant):
     assert split.render_text() == c.render_text()
 
 
-def test_legalize_key_separates_roles():
+@pytest.mark.parametrize("runs", [True, False])
+def test_legalize_key_separates_roles(runs):
     # same curve and coefficient: a pair knot against a c4 one, and a c4
-    # knot against a c3 one
+    # knot against a c3 one; the invariant knots as single knots or as runs
+    count = 2 if runs else 1
     knots = (
-        SurgeryKnot(0, CURVE_APB, 1, TorusType.C4),
-        SurgeryKnot(0, CURVE_APB, -1, TorusType.C4),
-        SurgeryKnot(0, CURVE_APB, -1, TorusType.C3),
+        SurgeryKnot(0, CURVE_APB, 1, TorusType.C4, count),
+        SurgeryKnot(0, CURVE_APB, -1, TorusType.C4, count),
+        SurgeryKnot(0, CURVE_APB, -1, TorusType.C3, count),
     )
     d = SurgeryDiagram(knots, ((CURVE_APB, CURVE_APB, 1),))
     c = legalize(d)
