@@ -1,14 +1,18 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 verification failure, 2 inadmissible input,
-64 usage error.
+64 usage error.  When stdout closes before the output is written
+(`eqsurg census --max-p 300 | head -c 10`), the command stops at the
+failed write and exits 1 without a message.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from itertools import groupby
 from json.encoder import encode_basestring_ascii
 from typing import Optional
 
@@ -22,10 +26,11 @@ from .lens import (
     catalog_s1xs2,
     type_A_chain,
 )
-from .matrices import IntMatrix
+from .matrices import CurveClass, IntMatrix
 from .words import (
     CST,
     WordError,
+    curve_name,
     eval_word,
     factor_palindrome,
     format_word,
@@ -173,6 +178,39 @@ def _emit(doc: dict, fmt: str, text_renderer=None) -> None:
     sys.stdout.writelines(out)
 
 
+def _runs(docs: list) -> list:
+    """Each run of consecutive references to one document in `docs`, as
+    (document, length)."""
+    return [(run[0], len(run)) for run in (list(g) for _, g in groupby(docs, id))]
+
+
+def _knot_lines(doc: dict) -> list[str]:
+    """The text lines of a lens build's knots, from `doc["diagram"]` and
+    `doc["contact"]`.
+
+    The surgery knots come first, sorted by level (the sort is stable, so
+    a level keeps document order), then the contact knots in document
+    order.  A run of references to one shared knot document is formatted
+    once and repeated.
+    """
+    diagram, contact = doc["diagram"], doc["contact"]
+    lines = [f"ambient: {diagram['ambient']}"]
+    for k, n in sorted(_runs(diagram["knots"]), key=lambda run: run[0]["level"]):
+        lines += [
+            f"  level {k['level']:+d}: {curve_name(CurveClass(tuple(k['curve'])))} "
+            f"coeff {k['coeff']} role {k['role']} type {k['type']}"
+        ] * n
+    for k, n in _runs(contact["knots"]):
+        c = k["contact"]
+        lines += [
+            f"  contact level {k['level']:+d}: tw {c['tw']} tb {c['tb']} "
+            f"coeff {c['coeff']} glue_back {c['glue_back']} "
+            f"{'legal' if c['legal'] else 'ILLEGAL'}"
+        ] * n
+    lines.append(f"overall_legal: {contact['overall_legal']}")
+    return lines
+
+
 def cmd_lens(args) -> int:
     if args.p > MAX_P:
         raise UsageError(f"--p must be at most {MAX_P}, got {args.p}")
@@ -186,15 +224,15 @@ def cmd_lens(args) -> int:
 
     def text():
         lines = [
-            f"L({args.p},{args.q}) variant {variant.value}: "
+            f"L({doc['p']},{doc['q']}) variant {doc['variant']}: "
             f"cf {doc['cf']} palindrome {doc['palindrome']}",
             f"word: {doc['word']}",
             f"matrix_ok: {doc['matrix_ok']}  shape_ok: {doc['shape_ok']}  "
             f"fix_rule_applied: {doc['fix_rule_applied']}",
             f"legal: {doc['legal']}  flags: {doc['flags']}",
         ]
-        if report.contact is not None:
-            lines.append(report.contact.render_text())
+        if doc["contact"] is not None:
+            lines += _knot_lines(doc)
         return "\n".join(lines)
 
     _emit(doc, args.format, text)
@@ -426,6 +464,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered to devnull, so
+        # that the flush at interpreter exit is silent
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_VERIFY
 
 
 if __name__ == "__main__":

@@ -169,7 +169,7 @@ class ContactDiagram:
         return out
 
     def entries(self) -> list[tuple[SurgeryKnot, ContactKnotData]]:
-        """Every knot with its contact data in print order: the pair knots,
+        """Every knot with its contact data in document order: the pair knots,
         whose data is computed here, then the invariant knots."""
         pairs = [(k, _knot_data(k)) for k in self.base.pair_knots()]
         return pairs + list(zip(self.base.knots, self.knot_data))
@@ -193,19 +193,6 @@ class ContactDiagram:
             "tightness_hint": TightnessHint.UNKNOWN.value,
         }
         return diagram, contact
-
-    def render_text(self) -> str:
-        lines = [self.base.render_text()]
-        for knot, data in self.entries():
-            d = data.to_json_dict()
-            line = (
-                f"  contact level {knot.level:+d}: tw {d['tw']} tb {d['tb']} "
-                f"coeff {d['coeff']} glue_back {d['glue_back']} "
-                f"{'legal' if data.legal else 'ILLEGAL'}"
-            )
-            lines += [line] * knot.count
-        lines.append(f"overall_legal: {self.overall_legal}")
-        return "\n".join(lines)
 
 
 def _knot_data(knot: SurgeryKnot) -> ContactKnotData:
@@ -238,6 +225,6 @@ def legalize(d: SurgeryDiagram) -> ContactDiagram:
     verdict per knot of `d.knots`, which covers all `count` copies.
     Mirrored pair knots only need Legendrian representatives respecting
     the pairing, so they are always legal; their framing data is computed
-    where it is printed (`ContactDiagram.entries`).
+    where it is rendered (`ContactDiagram.entries`).
     """
     return ContactDiagram(d, tuple(_knot_data(knot) for knot in d.knots))

@@ -91,9 +91,6 @@ class IntMatrix:
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self.rows]
 
-    def __str__(self) -> str:
-        return "[" + ", ".join("[" + ", ".join(map(str, r)) + "]" for r in self.rows) + "]"
-
 
 class CurveClass(NamedTuple):
     """Primitive homology class of an unoriented essential curve.

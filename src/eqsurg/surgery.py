@@ -1,16 +1,16 @@
 """Topological classification of equivariant surgeries.
 
 Covers the four solid-torus real structures, the extension rule for a
-(p/q)-surgery along a c_i-knot, surgery type labels i_j, the effect on
-the number of real-part components, and the conversion of a validated
-equivariant twist word into a leveled surgery diagram.
+(p/q)-surgery along a c_i-knot, surgery type labels i_j, and the
+conversion of a validated equivariant twist word into a leveled surgery
+diagram.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from .matrices import CurveClass
 from .words import CST, EquivariantShape, curve_name
@@ -50,16 +50,6 @@ class SurgerySpec:
             )
 
 
-def spec_for_integer_coeff(coeff: int, p_prime: int = 0) -> SurgerySpec:
-    """Gluing data for an integer surface-framed coefficient (|coeff| = 1)."""
-    if coeff not in (1, -1):
-        raise SurgeryError(f"only coefficient +-1 surgeries arise here, got {coeff}")
-    p, q = coeff, 1
-    # p*q' - q*p' = -1 with p = +-1  =>  q' = p*(p' - 1) ... solve directly
-    q_prime = (q * p_prime - 1) // p
-    return SurgerySpec(p, q, p_prime, q_prime)
-
-
 def extension_type(knot: TorusType, s: SurgerySpec) -> TorusType:
     """The unique real structure on the glued-back solid torus."""
     p, q, pp, qp = s.p, s.q, s.p_prime, s.q_prime
@@ -78,59 +68,24 @@ def extension_type(knot: TorusType, s: SurgerySpec) -> TorusType:
     return TorusType.C3 if (pp + qp) % 2 == 0 else TorusType.C4
 
 
-@dataclass(frozen=True)
-class SurgeryLabel:
-    """Type i_j: a c_i solid torus excised, a c_j one glued back."""
-
-    excised: TorusType
-    glued: TorusType
-
-    def __str__(self) -> str:
-        return f"{self.excised.value[1]}_{self.glued.value[1]}"
-
-
-def surgery_type_label(knot: TorusType, s: SurgerySpec) -> SurgeryLabel:
-    return SurgeryLabel(knot, extension_type(knot, s))
-
-
-def type_labels_for_coeff(knot: TorusType, coeff: int) -> tuple[SurgeryLabel, ...]:
-    """All labels a +-1 surgery can carry across meridional-twist choices.
+def type_labels_for_coeff(knot: TorusType, coeff: int) -> tuple[str, ...]:
+    """All labels "i_j" a +-1 surgery can carry across meridional-twist
+    choices: a c_i solid torus excised, a c_j one glued back.
 
     A meridional Dehn twist changes the parity of p' and q', so branches
     that depend on those parities yield two labels (diffeomorphic but not
     isotopic results); unambiguous branches yield one.
     """
+    if coeff not in (1, -1):
+        raise SurgeryError(f"only coefficient +-1 surgeries arise here, got {coeff}")
     labels = []
     for p_prime in (0, 1):
-        label = surgery_type_label(knot, spec_for_integer_coeff(coeff, p_prime))
+        # p = coeff, q = 1 and p*q' - q*p' = -1 give q' = (p' - 1) * coeff
+        s = SurgerySpec(coeff, 1, p_prime, (p_prime - 1) * coeff)
+        label = f"{knot.value[1]}_{extension_type(knot, s).value[1]}"
         if label not in labels:
             labels.append(label)
     return tuple(labels)
-
-
-def fix_delta(label: Union[SurgeryLabel, str],
-              same_component: Optional[bool] = None) -> int:
-    """Change in the number of real-part components.
-
-    `label` may be a SurgeryLabel or the string "5" for a mirrored pair.
-    For a 1_1 surgery the caller must say whether the two fixed points of
-    the knot lie on the same real component.
-    """
-    if isinstance(label, str):
-        if label == "5":
-            return 0
-        raise SurgeryError(f"unknown label {label!r}")
-    name = str(label)
-    if name == "1_1":
-        if same_component is None:
-            raise SurgeryError("1_1 surgery needs the same_component flag")
-        return 1 if same_component else -1
-    if name in ("2_3", "2_4"):
-        return -1
-    if name in ("3_2", "4_2"):
-        return 1
-    # 3_4, 4_3 do not alter the real part; neither do 2_2, 3_3, 4_4.
-    return 0
 
 
 def heegaard_minus_seifert(curve: CurveClass) -> int:
@@ -180,8 +135,8 @@ class SurgeryKnot:
     count: int = 1
 
     @property
-    def labels(self) -> tuple:
-        """The string "5" for a pair knot, else the SurgeryLabel entries."""
+    def labels(self) -> tuple[str, ...]:
+        """The label "5" for a pair knot, else the "i_j" labels of its torus type."""
         if self.torus_type is None:
             return ("5",)
         return type_labels_for_coeff(self.torus_type, self.coeff)
@@ -197,7 +152,7 @@ class SurgeryKnot:
             "curve": list(self.curve.coords),
             "coeff": f"{self.coeff:+d}",
             "role": role,
-            "type": "/".join(str(l) for l in self.labels),
+            "type": "/".join(self.labels),
         }
 
 
@@ -208,9 +163,9 @@ class SurgeryDiagram:
     `knots` holds the invariant knots; a knot with `count` m stands for m
     parallel copies.  `pairs` holds the mirrored pairs as (primary curve,
     mirror curve, coeff), deepest first: pair idx sits on levels -i and
-    +i with i = len(pairs) - idx.  The renderers print the pair knots,
-    then one entry per copy of each invariant knot; in the JSON document,
-    which `ContactDiagram.to_json_dicts` renders next to the contact one,
+    +i with i = len(pairs) - idx.  Its JSON document, which
+    `ContactDiagram.to_json_dicts` builds next to the contact one, lists
+    the pair knots, then one entry per copy of each invariant knot, and
     the copies of a knot share one document.  The ambient manifold is
     always the standard real S^3 and a diagram carries no notes.
     """
@@ -229,17 +184,6 @@ class SurgeryDiagram:
             out.append(SurgeryKnot(idx - t, primary, coeff))
             out.append(SurgeryKnot(t - idx, mirror, coeff))
         return out
-
-    def render_text(self) -> str:
-        lines = ["ambient: S3_cst"]
-        for k in sorted(self.pair_knots() + list(self.knots), key=lambda k: k.level):
-            d = k.to_json_dict()
-            line = (
-                f"  level {k.level:+d}: {curve_name(k.curve)} "
-                f"coeff {d['coeff']} role {d['role']} type {d['type']}"
-            )
-            lines += [line] * k.count
-        return "\n".join(lines)
 
 
 def word_to_diagram(shape: EquivariantShape) -> SurgeryDiagram:

@@ -2,6 +2,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -435,3 +438,22 @@ def test_emit_prints_nothing_past_digit_limit(before, after, depth, sign):
             code = main(["lens", "--p", "5", "--q", "4"])
     assert (code, out.getvalue()) == (64, "")
     assert err.getvalue() == f"usage error: {cli._TOO_LONG}\n"
+
+
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+@pytest.mark.parametrize("command", [
+    "lens --p 1001 --q 1",
+    "census --max-p 300",
+    "census --max-p 300 --format text",
+])
+def test_closed_stdout_exits_quietly(command):
+    # the reader takes 10 bytes and closes the pipe, like `| head -c 10`
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([_SRC, os.environ.get("PYTHONPATH", "")]))
+    with subprocess.Popen([sys.executable, "-m", "eqsurg.cli", *command.split()], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert (len(head), proc.returncode, err) == (10, 1, b"")

@@ -9,6 +9,7 @@ import hashlib
 import pytest
 
 from eqsurg.cli import main
+from eqsurg.lens import admissible_pairs
 
 GOLDEN = [
     ("census --max-p 60", "aff161387035ad899c293308a3c5e21e3de08baca2f5b1da3eaa0ef1c25e7bcc"),
@@ -88,3 +89,19 @@ def test_factor_palindrome_involution_file_digest(capsys, tmp_path, genus, curve
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# every admissible pair with p <= 60 in `admissible_pairs` order, variant C
+# then C', 374 commands: one digest over their concatenated text stdout
+LENS_TEXT_P60 = "e12c4cb5ea37a565fd5835430675c8cb6c55faa331b3f7179c16c4bdf6aa7724"
+
+
+def test_lens_text_digest_over_admissible_pairs(capsys):
+    h = hashlib.sha256()
+    for p, q in admissible_pairs(60):
+        for variant in ("C", "C'"):
+            argv = ["lens", "--p", str(p), "--q", str(q), "--variant", variant,
+                    "--format", "text"]
+            assert main(argv) == 0
+            h.update(capsys.readouterr().out.encode())
+    assert h.hexdigest() == LENS_TEXT_P60

@@ -11,11 +11,8 @@ from eqsurg.surgery import (
     SurgerySpec,
     TorusType,
     extension_type,
-    fix_delta,
     heegaard_minus_seifert,
     knot_type_under_cst,
-    spec_for_integer_coeff,
-    surgery_type_label,
     type_labels_for_coeff,
     word_to_diagram,
 )
@@ -122,11 +119,6 @@ def test_extension_matches_conjugation_oracle(pq, shift, k):
     assert extension_type(k, s) is extension_by_conjugation(k, s)
 
 
-def test_surgery_type_label_str():
-    label = surgery_type_label(TorusType.C4, spec(1, 1, 0, -1))
-    assert str(label) == "4_2"
-
-
 def test_type_labels_meridional_ambiguity():
     # a c2-knot with coefficient +1: q' parity flips with the twist choice
     labels = {str(l) for l in type_labels_for_coeff(TorusType.C2, 1)}
@@ -134,24 +126,12 @@ def test_type_labels_meridional_ambiguity():
     # c1 and c4 are unambiguous here
     assert {str(l) for l in type_labels_for_coeff(TorusType.C1, -1)} == {"1_1"}
     assert {str(l) for l in type_labels_for_coeff(TorusType.C4, -1)} == {"4_2"}
+    assert type_labels_for_coeff(TorusType.C4, 1) == ("4_2",)
 
 
-def test_spec_for_integer_coeff_rejects_non_unit():
+def test_type_labels_for_coeff_rejects_non_unit():
     with pytest.raises(SurgeryError):
-        spec_for_integer_coeff(2)
-
-
-def test_fix_delta_table():
-    assert fix_delta(surgery_type_label(TorusType.C4, spec(1, 1, 0, -1))) == 1  # 4_2
-    assert fix_delta(surgery_type_label(TorusType.C2, spec(1, 1, 0, -1))) == -1  # 2_4
-    assert fix_delta(surgery_type_label(TorusType.C2, spec(1, 1, 1, 0))) == -1  # 2_3
-    assert fix_delta(surgery_type_label(TorusType.C3, spec(1, 1, 1, 0))) == 0  # 3_4
-    label_11 = surgery_type_label(TorusType.C1, spec(1, 1, 0, -1))
-    assert fix_delta(label_11, same_component=True) == 1
-    assert fix_delta(label_11, same_component=False) == -1
-    with pytest.raises(SurgeryError):
-        fix_delta(label_11)
-    assert fix_delta("5") == 0
+        type_labels_for_coeff(TorusType.C1, 2)
 
 
 def test_heegaard_minus_seifert():

@@ -1,0 +1,51 @@
+"""The benchmark's tracer against the live package.
+
+`perfbench/tracer.py` rebinds names it looks up in `eqsurg.cli`, `lens`,
+`words` and `matrices` (`lens.legalize`, `cli.build`,
+`BuildReport.to_json_dict`, ...).  A rename in the package breaks traced
+benchmark runs; this test installs the tracer, runs one command and
+restores the modules.
+"""
+
+import contextlib
+import importlib.util
+import io
+import os
+
+import eqsurg.cli
+import eqsurg.lens
+import eqsurg.matrices
+import eqsurg.words
+
+_TRACER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "perfbench", "tracer.py")
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", _TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.Tracer
+
+
+def test_tracer_installs_on_the_live_package():
+    modules = (eqsurg.cli, eqsurg.lens, eqsurg.words, eqsurg.matrices)
+    before = [dict(vars(m)) for m in modules]
+    to_json = eqsurg.lens.BuildReport.to_json_dict
+    matmul = eqsurg.matrices.IntMatrix.__matmul__
+    tracer = _load_tracer()()
+    try:
+        tracer.install(*modules)
+        main = tracer.wrap("cli.main", eqsurg.cli.main)
+        tracer.request += 1
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["lens", "--p", "5", "--q", "4"]) == 0
+        tracer.end_request()
+    finally:
+        tracer.restore()
+    metrics = tracer.layer_metrics()
+    assert metrics["lens.build.calls"] == 1
+    assert metrics["words.shape.self_s"] > 0
+    assert [dict(vars(m)) for m in modules] == before
+    assert eqsurg.lens.BuildReport.to_json_dict is to_json
+    assert eqsurg.matrices.IntMatrix.__matmul__ is matmul
