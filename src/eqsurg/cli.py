@@ -91,14 +91,15 @@ def _encode(obj, indent: str, out: list) -> None:
     """Append the text of `json.dumps(obj, indent=2)`, nested at `indent`,
     to `out` as one flat list of chunks.
 
-    The types are those of `_dumps`: any other is a TypeError, and an int
-    past the digit limit a ValueError.  No container joins its children's
-    text, so a nested document is not copied again at each level.  A run
-    of k consecutive references to one object in a list is encoded
-    once, as text t, and emitted as the two chunks (t + sep) * (k - 1) and
-    t: one string repeat in C.  The renderers print the copies of a middle
-    run as one shared document, which the stdlib's indented (pure-Python)
-    encoder would encode again for every copy.
+    The types are dicts with str keys, lists, tuples, str, int, bool and
+    None: any other is a TypeError, and an int past the digit limit a
+    ValueError.  No container joins its children's text, so a nested
+    document is not copied again at each level.  A run of k consecutive
+    references to one object in a list is encoded once, as text t, and
+    emitted as the two chunks (t + sep) * (k - 1) and t: one string
+    repeat in C.  The renderers print the copies of a middle run as one
+    shared document, which the stdlib's indented (pure-Python) encoder
+    would encode again for every copy.
     """
     if isinstance(obj, str):
         out.append(encode_basestring_ascii(obj))
@@ -150,25 +151,20 @@ def _encode(obj, indent: str, out: list) -> None:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _dumps(obj) -> str:
-    """`json.dumps(obj, indent=2)`, byte for byte, for dicts with str keys,
-    lists, tuples, str, int, bool and None: the join of `_encode`'s chunks."""
-    out: list = []
-    _encode(obj, "", out)
-    return "".join(out)
-
-
 def _emit(doc: dict, fmt: str, text_renderer=None) -> None:
-    """Print `doc` as indented JSON, or the text renderer's output.
+    """Print `doc` as indented JSON, or the text renderer's output; text
+    from a command without a renderer is a usage error.
 
     The whole document is encoded before anything is written, so an
     integer past the digit limit prints nothing.  The chunks then go out
     through one `writelines`, without a join, so the repeated text of a
     middle run is written as it is.
     """
+    if fmt == "text" and text_renderer is None:
+        raise UsageError("--format text is not available for this command")
     out: list = []
     try:
-        if fmt == "text" and text_renderer:
+        if fmt == "text":
             out.append(text_renderer())
         else:
             _encode(doc, "", out)
@@ -289,31 +285,25 @@ def cmd_census(args) -> int:
 
 
 def cmd_catalog(args) -> int:
-    if args.name == "s1xs2":
-        entries = [e.to_json_dict() for e in catalog_s1xs2()]
-        doc = {"catalog": "s1xs2", "entries": entries}
-        _emit(doc, args.format)
-        return EXIT_OK if all(e["matrix_ok"] for e in entries) else EXIT_VERIFY
-    if args.name == "rp3":
-        entry = catalog_rp3().to_json_dict()
-        _emit({"catalog": "rp3", "entries": [entry]}, args.format)
-        return EXIT_OK if entry["matrix_ok"] else EXIT_VERIFY
-    if args.name == "typeA":
-        if args.p is None or args.q is None:
-            raise UsageError("catalog typeA requires --p and --q")
-        try:
-            report = type_A_chain(args.p, args.q)
-        except BadInput as exc:
-            print(f"inadmissible: {exc}", file=sys.stderr)
-            return EXIT_INADMISSIBLE
-        # every r_i <= -2, so knot i has |r_i + 1| = -r_i - 1 rotation numbers
-        if sum(-r - 1 for r in report.coefficients) > MAX_ROTATION_CHOICES:
-            raise UsageError(
-                f"the chain has more than {MAX_ROTATION_CHOICES} rotation numbers to list"
-            )
-        _emit({"catalog": "typeA", **report.to_json_dict()}, args.format)
-        return EXIT_OK
-    raise UsageError(f"unknown catalog {args.name!r}")
+    if args.name != "typeA":  # s1xs2 or rp3, a one-entry catalog
+        entries = catalog_s1xs2() if args.name == "s1xs2" else [catalog_rp3()]
+        docs = [e.to_json_dict() for e in entries]
+        _emit({"catalog": args.name, "entries": docs}, args.format)
+        return EXIT_OK if all(d["matrix_ok"] for d in docs) else EXIT_VERIFY
+    if args.p is None or args.q is None:
+        raise UsageError("catalog typeA requires --p and --q")
+    try:
+        report = type_A_chain(args.p, args.q)
+    except BadInput as exc:
+        print(f"inadmissible: {exc}", file=sys.stderr)
+        return EXIT_INADMISSIBLE
+    # every r_i <= -2, so knot i has |r_i + 1| = -r_i - 1 rotation numbers
+    if sum(-r - 1 for r in report.coefficients) > MAX_ROTATION_CHOICES:
+        raise UsageError(
+            f"the chain has more than {MAX_ROTATION_CHOICES} rotation numbers to list"
+        )
+    _emit({"catalog": "typeA", **report.to_json_dict()}, args.format)
+    return EXIT_OK
 
 
 def _parse_matrix(text: str, what: str) -> IntMatrix:

@@ -39,13 +39,6 @@ class Slope:
             object.__setattr__(self, "num", norm_num)
             object.__setattr__(self, "den", norm_den)
 
-    @property
-    def is_infinite(self) -> bool:
-        return self.den == 0
-
-    def __str__(self) -> str:
-        return "inf" if self.is_infinite else f"{self.num}/{self.den}"
-
 
 def tight_solid_torus_exists(t: TorusType, s: Slope) -> bool:
     """Whether a tight solid torus with the given real structure realizes

@@ -16,7 +16,7 @@ from typing import Iterator, Optional
 
 from .contact import ContactDiagram, TightnessHint, legalize
 from .contfrac import ContFrac, Flavor, expand, honda_count, is_palindrome
-from .matrices import CurveClass, IntMatrix
+from .matrices import IntMatrix
 from .surgery import SurgeryDiagram, word_to_diagram
 from .words import (
     CST,
@@ -94,56 +94,35 @@ def admissible_pairs(max_p: int) -> list[tuple[int, int]]:
     ]
 
 
-def _half(count: int, terms: tuple[int, ...],
-          odd: CurveClass = CURVE_B, even: CurveClass = CURVE_A) -> list[tuple[CurveClass, int]]:
-    # Factor i (1-based) twists along `odd` for odd i and `even` for even i.
-    return [(odd if i % 2 == 1 else even, terms[i - 1]) for i in range(1, count + 1)]
+# The base's image of each curve of the left half.
+_IMAGE = {c: c.image_under(CST) for c in (CURVE_A, CURVE_B)}
 
-
-# The base's images of the curves `_half` twists along by default.
-_MIRROR_ODD, _MIRROR_EVEN = CURVE_B.image_under(CST), CURVE_A.image_under(CST)
-
-
-def _mirrored(count: int, terms: tuple[int, ...]) -> list[tuple[CurveClass, int]]:
-    """The mirror image of `_half(count, terms)`: base images, in reverse order."""
-    return _half(count, terms, _MIRROR_ODD, _MIRROR_EVEN)[::-1]
-
-
-_SIX_BA = [(CURVE_B, -1), (CURVE_A, -1)] * 3  # b^-1 a^-1 repeated, = A^2 = -I
-_SIX_AB = [(CURVE_A, -1), (CURVE_B, -1)] * 3
+# The middle of the word, keyed by (prime, n mod 4) where prime means
+# variant C', as a function of the centre term t = terms[half]; only the
+# odd cases read it.
+_MIDDLE = {
+    (False, 0): lambda t: [],
+    # at t = 2 this is a^-1 (a+b)^1 b^-1, the fix-rule pattern; no other
+    # entry contains it
+    (False, 1): lambda t: [(CURVE_A, -1), (CURVE_APB, t - 1), (CURVE_B, -1)],
+    (False, 2): lambda t: [(CURVE_B, -1), (CURVE_A, -1)] * 3,  # A^2 = -I
+    (False, 3): lambda t: [(CURVE_B, 1), (CURVE_APB, t + 1), (CURVE_A, 1)],
+    (True, 0): lambda t: [(CURVE_A, -1), (CURVE_B, -1)] * 3,  # A^2 = -I
+    (True, 1): lambda t: [(CURVE_A, 1), (CURVE_AMB, t + 1), (CURVE_B, 1)],
+    (True, 2): lambda t: [],
+    (True, 3): lambda t: [(CURVE_B, -1), (CURVE_AMB, t - 1), (CURVE_A, -1)],
+}
 
 
 def _factor(terms: tuple[int, ...], prime: bool) -> TwistWord:
+    """left * middle * mirrored left: factor i of the left half twists
+    along b for even i and a for odd i, with exponent terms[i]."""
     n = len(terms)
-    k, case = divmod(n, 4)
-    if not prime:
-        if case == 0:
-            left = _half(2 * k, terms)
-            middle: list[tuple[CurveClass, int]] = []
-        elif case == 1:
-            left = _half(2 * k, terms)
-            middle = [(CURVE_A, -1), (CURVE_APB, terms[2 * k] - 1), (CURVE_B, -1)]
-        elif case == 2:
-            left = _half(2 * k + 1, terms)
-            middle = list(_SIX_BA)
-        else:
-            left = _half(2 * k + 1, terms)
-            middle = [(CURVE_B, 1), (CURVE_APB, terms[2 * k + 1] + 1), (CURVE_A, 1)]
-    else:
-        if case == 0:
-            left = _half(2 * k, terms)
-            middle = list(_SIX_AB)
-        elif case == 1:
-            left = _half(2 * k, terms)
-            middle = [(CURVE_A, 1), (CURVE_AMB, terms[2 * k] + 1), (CURVE_B, 1)]
-        elif case == 2:
-            left = _half(2 * k + 1, terms)
-            middle = []
-        else:
-            left = _half(2 * k + 1, terms)
-            middle = [(CURVE_B, -1), (CURVE_AMB, terms[2 * k + 1] - 1), (CURVE_A, -1)]
-    factors = left + middle + _mirrored(len(left), terms)
-    return TwistWord.of(factors, base=CST)
+    half = n // 4 * 2 + (n % 4 >= 2)
+    left = [((CURVE_B, CURVE_A)[i % 2], terms[i]) for i in range(half)]
+    middle = _MIDDLE[prime, n % 4](terms[half])
+    mirror = [(_IMAGE[c], e) for c, e in reversed(left)]
+    return TwistWord.of(left + middle + mirror, base=CST)
 
 
 def _word(target: LensTarget) -> tuple[ContFrac, TwistWord]:

@@ -138,14 +138,6 @@ class SymplecticForm:
     def dim(self) -> int:
         return 2 * self.genus
 
-    def matrix(self) -> IntMatrix:
-        g = self.genus
-        rows = [[0] * (2 * g) for _ in range(2 * g)]
-        for i in range(g):
-            rows[i][g + i] = 1
-            rows[g + i][i] = -1
-        return IntMatrix.from_rows(rows)
-
     def pairing(self, x: Sequence[int], y: Sequence[int]) -> int:
         g = self.genus
         if len(x) != 2 * g or len(y) != 2 * g:

@@ -24,9 +24,6 @@ class TorusType(enum.Enum):
     C3 = "c3"  # y -> y + 1/2: longitudinal half-shift
     C4 = "c4"  # both half-shifts
 
-    def __str__(self) -> str:
-        return self.value
-
 
 class SurgeryError(ValueError):
     pass

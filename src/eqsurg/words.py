@@ -320,45 +320,30 @@ def validate_recursive_invariance(w: TwistWord, s: IntMatrix) -> dict:
     entries: list[dict] = []
     current = s
     j = 0
-    all_ok = True
-
-    def entry(index: int, curve: CurveClass, e: int, condition: str,
-              invariant_ok: bool, involution_ok: bool) -> dict:
-        return {
-            "index": index,
-            "curve": curve_name(curve),
-            "exponent": e,
-            "condition": condition,
-            "invariant_ok": invariant_ok,
-            "involution_ok": involution_ok,
-        }
-
     while j < len(seq):
         c, e = seq[j]
         image = c.image_under(current)
         if image == c:  # CurveClass is sign-normalized
-            current = transvection(c, e, form) @ current
-            inv_ok = is_involution(current)
-            entries.append(entry(j + 1, c, e, "i", True, inv_ok))
-            all_ok = all_ok and inv_ok
-            j += 1
-            continue
-        # condition (ii): swapped disjoint pair with the next factor
-        if j + 1 < len(seq):
-            d, e2 = seq[j + 1]
-            if e2 == e and form.pairing(c.coords, d.coords) == 0 and image == d:
-                current = transvection(d, e, form) @ transvection(c, e, form) @ current
-                inv_ok = is_involution(current)
-                entries.append(entry(j + 1, c, e, "ii", True, inv_ok))
-                entries.append(entry(j + 2, d, e, "ii", True, inv_ok))
-                all_ok = all_ok and inv_ok
-                j += 2
-                continue
-        entries.append(entry(j + 1, c, e, "i", False, False))
-        all_ok = False
-        current = transvection(c, e, form) @ current
-        j += 1
-    return {"all_ok": all_ok, "factors": entries}
+            group, condition, invariant_ok = seq[j:j + 1], "i", True
+        elif (j + 1 < len(seq) and seq[j + 1] == (image, e)
+              and form.pairing(c.coords, image.coords) == 0):  # a swapped disjoint pair
+            group, condition, invariant_ok = seq[j:j + 2], "ii", True
+        else:
+            group, condition, invariant_ok = seq[j:j + 1], "i", False
+        for d, _ in group:
+            current = transvection(d, e, form) @ current
+        involution_ok = invariant_ok and is_involution(current)
+        for index, (d, _) in enumerate(group, j + 1):
+            entries.append({
+                "index": index,
+                "curve": curve_name(d),
+                "exponent": e,
+                "condition": condition,
+                "invariant_ok": invariant_ok,
+                "involution_ok": involution_ok,
+            })
+        j += len(group)
+    return {"all_ok": all(x["involution_ok"] for x in entries), "factors": entries}
 
 
 # ---------------------------------------------------------------------------

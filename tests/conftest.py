@@ -54,6 +54,15 @@ def det(m: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def form_matrix(genus: int) -> IntMatrix:
+    """The matrix J of the standard form: <x, y> = x^T J y."""
+    rows = [[0] * (2 * genus) for _ in range(2 * genus)]
+    for i in range(genus):
+        rows[i][genus + i] = 1
+        rows[genus + i][i] = -1
+    return IntMatrix.from_rows(rows)
+
+
 def primitive(coords) -> CurveClass:
     d = 0
     for y in coords:
@@ -87,7 +96,7 @@ def swap_involution(genus: int) -> IntMatrix:
 def random_anti_symplectic(genus: int, rng: random.Random) -> IntMatrix:
     """Random conjugate of the block swap: an anti-symplectic involution."""
     m = random_symplectic(genus, rng)
-    j = SymplecticForm(genus).matrix()
+    j = form_matrix(genus)
     m_inv = -(j @ transpose(m) @ j)  # M^T J M = J gives M^-1 = -J M^T J
     s = m @ swap_involution(genus) @ m_inv
     assert is_involution(s) and is_anti_symplectic(s)

@@ -11,7 +11,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eqsurg import cli
-from eqsurg.cli import _dumps, main
+from eqsurg.cli import _encode, main
+
+
+def _dumps(obj) -> str:
+    """`json.dumps(obj, indent=2)`, byte for byte, for dicts with str keys,
+    lists, tuples, str, int, bool and None: the join of `_encode`'s chunks."""
+    out: list = []
+    _encode(obj, "", out)
+    return "".join(out)
 
 
 def run(capsys, *argv):
@@ -306,6 +314,8 @@ def _sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+_NO_TEXT = "usage error: --format text is not available for this command\n"
+
 # (argv, exit code, stdout digest or "" for no output, exact stderr)
 _REUSE = [
     (("lens", "--q", "1"), 64, "",
@@ -327,6 +337,10 @@ _REUSE = [
      "0768bafa605e71ab8bf745b3cc434c466bc768bf61f4327ec671858abc23da89", ""),
     (("verify", "--word", "a^1 | cst", "--expect", "[[-1,0],[2,1]]"), 1,
      "1ac92bb1517159d36c638d13c948bca7d23ce535d9d1af2a42fa53a49902f3fd", ""),
+    # commands without a text form
+    (("catalog", "rp3", "--format", "text"), 64, "", _NO_TEXT),
+    (("verify", "--word", "a^1 | cst", "--format", "text"), 64, "", _NO_TEXT),
+    (("factor-palindrome", "--curves", "(a+b)^1", "--format", "text"), 64, "", _NO_TEXT),
 ]
 
 

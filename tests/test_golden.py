@@ -9,7 +9,8 @@ import hashlib
 import pytest
 
 from eqsurg.cli import main
-from eqsurg.lens import admissible_pairs
+from eqsurg.lens import admissible_pairs, factor_C, factor_Cprime
+from eqsurg.words import format_word
 
 GOLDEN = [
     ("census --max-p 60", "aff161387035ad899c293308a3c5e21e3de08baca2f5b1da3eaa0ef1c25e7bcc"),
@@ -105,3 +106,16 @@ def test_lens_text_digest_over_admissible_pairs(capsys):
             assert main(argv) == 0
             h.update(capsys.readouterr().out.encode())
     assert h.hexdigest() == LENS_TEXT_P60
+
+
+# every admissible pair with p <= 500 in `admissible_pairs` order, the
+# factor_C word then the factor_Cprime word, one line each: 4,354 words
+WORDS_P500 = "40d6e2931067947847a65e99e250ac58cc66d0f6321263af44980a528229736a"
+
+
+def test_word_digest_over_admissible_pairs():
+    h = hashlib.sha256()
+    for p, q in admissible_pairs(500):
+        for factor in (factor_C, factor_Cprime):
+            h.update((format_word(factor(p, q)) + "\n").encode())
+    assert h.hexdigest() == WORDS_P500

@@ -19,6 +19,7 @@ from eqsurg.words import CST, TwistWord, eval_word
 
 from conftest import (
     det,
+    form_matrix,
     mat_pow,
     random_anti_symplectic,
     random_curve,
@@ -127,7 +128,7 @@ def test_random_symplectic_preserves_form(seed):
     rng = random.Random(seed)
     g = rng.randint(1, 3)
     m = random_symplectic(g, rng)
-    j = SymplecticForm(g).matrix()
+    j = form_matrix(g)
     assert transpose(m) @ j @ m == j
 
 
@@ -144,7 +145,7 @@ def test_random_anti_symplectic_properties(seed):
 
 def _assert_checks_match_formulas(a: IntMatrix) -> None:
     # the entry-by-entry checks against the matrix formulas they replace
-    j = SymplecticForm(a.genus).matrix()
+    j = form_matrix(a.genus)
     assert is_involution(a) == (a @ a == IntMatrix.identity(a.dim))
     assert is_anti_symplectic(a) == (transpose(a) @ j @ a == -j)
 

@@ -30,7 +30,12 @@ from eqsurg.words import (
     verify_relations,
 )
 
-from conftest import primitive, random_anti_symplectic, random_invariant_curve
+from conftest import (
+    primitive,
+    random_anti_symplectic,
+    random_invariant_curve,
+    swap_involution,
+)
 
 
 def tw(*factors, base=None):
@@ -271,8 +276,6 @@ def test_recursive_invariance_accepts_invariant_single():
 def _genus2_swap_pair(exp_first, exp_second):
     """A swapped pair of disjoint genus-2 curves under the block swap:
     e1+f2 maps to f1+e2 and the two have zero pairing."""
-    from conftest import swap_involution
-
     s = swap_involution(2)
     gamma = CurveClass.from_coords([1, 0, 0, 1])
     image = gamma.image_under(s)
@@ -301,6 +304,34 @@ def test_recursive_invariance_rejects_lone_swap():
 def test_recursive_invariance_rejects_mismatched_pair_exponents():
     w, s = _genus2_swap_pair(1, -1)
     assert not validate_recursive_invariance(w, s)["all_ok"]
+
+
+_REPORT_KEYS = ("index", "curve", "exponent", "condition", "invariant_ok", "involution_ok")
+
+
+# One word per outcome against the genus-2 block swap, in written order (the
+# walk reads right to left).  v[1,0,0,0] is not swap-invariant; after it, the
+# accumulated structure fixes v[0,1,0,1] and swaps v[0,1,1,0] with v[1,0,0,1].
+@pytest.mark.parametrize("text, all_ok, rows", [
+    ("v[1,0,1,0]^2", True, [(1, "v[1,0,1,0]", 2, "i", True, True)]),
+    ("v[1,0,0,0]^1", False, [(1, "v[1,0,0,0]", 1, "i", False, False)]),
+    ("v[0,1,0,1]^1 v[1,0,0,0]^1", False, [
+        (1, "v[1,0,0,0]", 1, "i", False, False),
+        (2, "v[0,1,0,1]", 1, "i", True, False),
+    ]),
+    ("v[0,1,1,0]^2 v[1,0,0,1]^2", True, [
+        (1, "v[1,0,0,1]", 2, "ii", True, True),
+        (2, "v[0,1,1,0]", 2, "ii", True, True),
+    ]),
+    ("v[1,0,0,1]^-1 v[0,1,1,0]^-1 v[1,0,0,0]^1", False, [
+        (1, "v[1,0,0,0]", 1, "i", False, False),
+        (2, "v[0,1,1,0]", -1, "ii", True, False),
+        (3, "v[1,0,0,1]", -1, "ii", True, False),
+    ]),
+], ids=["i-kept", "i-not-invariant", "i-after-failure", "ii-pair", "ii-after-failure"])
+def test_recursive_invariance_report(text, all_ok, rows):
+    report = validate_recursive_invariance(parse_word(text, genus=2), swap_involution(2))
+    assert report == {"all_ok": all_ok, "factors": [dict(zip(_REPORT_KEYS, r)) for r in rows]}
 
 
 def test_recursive_invariance_rejects_genus_mismatch():
