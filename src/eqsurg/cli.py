@@ -94,7 +94,10 @@ def _encode(obj, indent: str, out: list) -> None:
     The types are dicts with str keys, lists, tuples, str, int, bool and
     None: any other is a TypeError, and an int past the digit limit a
     ValueError.  No container joins its children's text, so a nested
-    document is not copied again at each level.  A run of k consecutive
+    document is not copied again at each level.  A dict value whose type
+    is exactly str or int shares its key's chunk, and a list of exact
+    ints is one chunk (its first item is tested before the list is
+    scanned, so a list of documents is not).  A run of k consecutive
     references to one object in a list is encoded once, as text t, and
     emitted as the two chunks (t + sep) * (k - 1) and t: one string
     repeat in C.  The renderers print the copies of a middle run as one
@@ -117,6 +120,9 @@ def _encode(obj, indent: str, out: list) -> None:
             return
         inner = indent + "  "
         sep = ",\n" + inner
+        if type(obj[0]) is int and all(type(x) is int for x in obj):
+            out.append("[\n" + inner + sep.join(map(int.__repr__, obj)) + "\n" + indent + "]")
+            return
         out.append("[\n" + inner)
         i, n = 0, len(obj)
         while i < n:
@@ -143,25 +149,37 @@ def _encode(obj, indent: str, out: list) -> None:
         for key, value in obj.items():
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            out.append(lead + encode_basestring_ascii(key) + ": ")
-            _encode(value, inner, out)
+            head = lead + encode_basestring_ascii(key) + ": "
+            kind = type(value)
+            if kind is str:
+                out.append(head + encode_basestring_ascii(value))
+            elif kind is int:
+                out.append(head + int.__repr__(value))
+            else:
+                out.append(head)
+                _encode(value, inner, out)
             lead = sep
         out.append("\n" + indent + "}")
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
+def _json_only(args) -> None:
+    """Refuse `--format text` on a command that has no text form, before
+    the command does any work."""
+    if args.format == "text":
+        raise UsageError("--format text is not available for this command")
+
+
 def _emit(doc: dict, fmt: str, text_renderer=None) -> None:
-    """Print `doc` as indented JSON, or the text renderer's output; text
-    from a command without a renderer is a usage error.
+    """Print `doc` as indented JSON, or, when `fmt` is "text", the text
+    renderer's output.
 
     The whole document is encoded before anything is written, so an
     integer past the digit limit prints nothing.  The chunks then go out
     through one `writelines`, without a join, so the repeated text of a
     middle run is written as it is.
     """
-    if fmt == "text" and text_renderer is None:
-        raise UsageError("--format text is not available for this command")
     out: list = []
     try:
         if fmt == "text":
@@ -285,10 +303,11 @@ def cmd_census(args) -> int:
 
 
 def cmd_catalog(args) -> int:
+    _json_only(args)
     if args.name != "typeA":  # s1xs2 or rp3, a one-entry catalog
         entries = catalog_s1xs2() if args.name == "s1xs2" else [catalog_rp3()]
         docs = [e.to_json_dict() for e in entries]
-        _emit({"catalog": args.name, "entries": docs}, args.format)
+        _emit({"catalog": args.name, "entries": docs}, "json")
         return EXIT_OK if all(d["matrix_ok"] for d in docs) else EXIT_VERIFY
     if args.p is None or args.q is None:
         raise UsageError("catalog typeA requires --p and --q")
@@ -302,7 +321,7 @@ def cmd_catalog(args) -> int:
         raise UsageError(
             f"the chain has more than {MAX_ROTATION_CHOICES} rotation numbers to list"
         )
-    _emit({"catalog": "typeA", **report.to_json_dict()}, args.format)
+    _emit({"catalog": "typeA", **report.to_json_dict()}, "json")
     return EXIT_OK
 
 
@@ -313,7 +332,7 @@ def _parse_matrix(text: str, what: str) -> IntMatrix:
         if not all(type(x) is int for row in rows for x in row):
             raise ValueError("matrix entries must be JSON integers")
         return IntMatrix.from_rows(rows)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise UsageError(f"{what}: {exc}") from None
 
 
@@ -339,6 +358,7 @@ def cmd_verify(args) -> int:
         return EXIT_OK if ok else EXIT_VERIFY
     if args.word is None:
         raise UsageError("verify needs --word or --relations")
+    _json_only(args)
     try:
         word = parse_word(args.word, genus=args.genus)
     except WordError as exc:
@@ -349,13 +369,14 @@ def cmd_verify(args) -> int:
         expected = _parse_matrix(args.expect, f"cannot parse matrix {args.expect!r}")
         doc["expected"] = expected.to_lists()
         doc["match"] = value == expected
-    _emit(doc, args.format)
+    _emit(doc, "json")
     if args.expect is not None and not doc["match"]:
         return EXIT_VERIFY
     return EXIT_OK
 
 
 def cmd_factor_palindrome(args) -> int:
+    _json_only(args)
     _check_genus(args.genus)
     try:
         word = parse_word(args.curves, genus=args.genus)
@@ -385,7 +406,7 @@ def cmd_factor_palindrome(args) -> int:
         }
     except ValueError:  # a curve coordinate past the digit limit
         raise UsageError(_TOO_LONG) from None
-    _emit(doc, args.format)
+    _emit(doc, "json")
     return EXIT_OK
 
 

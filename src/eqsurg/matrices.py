@@ -3,13 +3,15 @@
 Everything downstream (twist words, gluing maps, surgery classification)
 is verified against the operations in this module, so all arithmetic is
 arbitrary-precision integer arithmetic; there is no floating point
-anywhere.
+anywhere.  Each inner product runs as `sum(map(mul, ...))` over Python
+ints, so the per-entry loop is C iteration, not bytecode.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import add, mul
 from typing import Iterable, NamedTuple, Sequence
 
 
@@ -29,7 +31,7 @@ class IntMatrix:
 
     @staticmethod
     def from_rows(rows: Iterable[Sequence[int]]) -> "IntMatrix":
-        t = tuple(tuple(int(x) for x in row) for row in rows)
+        t = tuple(tuple(map(int, row)) for row in rows)
         n = len(t)
         if n == 0 or any(len(row) != n for row in t):
             raise DimensionMismatch("matrix must be square")
@@ -39,9 +41,11 @@ class IntMatrix:
 
     @staticmethod
     def identity(dim: int) -> "IntMatrix":
-        return IntMatrix.from_rows(
-            [[1 if i == j else 0 for j in range(dim)] for i in range(dim)]
-        )
+        if dim <= 0:
+            raise DimensionMismatch("matrix must be square")
+        if dim % 2 != 0:
+            raise DimensionMismatch("dimension must be even (2g)")
+        return IntMatrix(tuple([(0,) * i + (1,) + (0,) * (dim - 1 - i) for i in range(dim)]))
 
     @property
     def dim(self) -> int:
@@ -58,17 +62,15 @@ class IntMatrix:
             )
         cols = list(zip(*other.rows))
         return IntMatrix(
-            tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-                for row in self.rows
-            )
+            tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in self.rows])
         )
 
     def twist(self, curve: CurveClass, power: int) -> "IntMatrix":
         """self @ T, where T is the homology action of tau_curve^power.
 
         T = I + power * c w^T with w_j = <c, e_j>, so each row gains
-        power * (row . c) times w: a rank-1 update, no T is built.
+        power * (row . c) times w: a rank-1 update, no T is built.  A row
+        with row . c = 0 is kept as it is.
         """
         if curve.genus != self.genus:
             raise DimensionMismatch("curve genus does not match matrix genus")
@@ -76,8 +78,8 @@ class IntMatrix:
         w = tuple(-x for x in c[g:]) + c[:g]
         rows = []
         for row in self.rows:
-            k = power * sum(a * b for a, b in zip(row, c))
-            rows.append(tuple(x + k * y for x, y in zip(row, w)))
+            k = power * sum(map(mul, row, c))
+            rows.append(tuple(map(add, row, [k * y for y in w])) if k else row)
         return IntMatrix(tuple(rows))
 
     def __neg__(self) -> "IntMatrix":
@@ -86,7 +88,7 @@ class IntMatrix:
     def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
         if len(vec) != self.dim:
             raise DimensionMismatch("vector length does not match matrix dimension")
-        return tuple(sum(a * x for a, x in zip(row, vec)) for row in self.rows)
+        return tuple([sum(map(mul, row, vec)) for row in self.rows])
 
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self.rows]
@@ -109,7 +111,7 @@ class CurveClass(NamedTuple):
 
     @staticmethod
     def from_coords(coords: Sequence[int]) -> "CurveClass":
-        c = tuple(int(x) for x in coords)
+        c = tuple(map(int, coords))
         if len(c) == 0 or len(c) % 2 != 0:
             raise DimensionMismatch("curve vector length must be even (2g)")
         g = math.gcd(*c)
@@ -142,17 +144,12 @@ class SymplecticForm:
         g = self.genus
         if len(x) != 2 * g or len(y) != 2 * g:
             raise DimensionMismatch("vector length does not match form genus")
-        return sum(x[i] * y[g + i] - x[g + i] * y[i] for i in range(g))
+        return sum(map(mul, x[:g], y[g:])) - sum(map(mul, x[g:], y[:g]))
 
 
 def is_involution(a: IntMatrix) -> bool:
-    """True iff a @ a is the identity, checked entry by entry."""
-    cols = list(zip(*a.rows))
-    return all(
-        sum(x * y for x, y in zip(row, col)) == (i == j)
-        for i, row in enumerate(a.rows)
-        for j, col in enumerate(cols)
-    )
+    """True iff a @ a is the identity: one product, compared with I."""
+    return a @ a == IntMatrix.identity(a.dim)
 
 
 def transvection(curve: CurveClass, power: int, form: SymplecticForm) -> IntMatrix:
@@ -166,17 +163,19 @@ def transvection(curve: CurveClass, power: int, form: SymplecticForm) -> IntMatr
     return IntMatrix.identity(form.dim).twist(curve, power)
 
 
+def _form_times(rows: tuple[tuple[int, ...], ...], g: int) -> tuple[tuple[int, ...], ...]:
+    """The rows of J m, for m's rows and the form matrix J = [[0, I], [-I, 0]]:
+    the lower half of the rows over the negated upper half."""
+    return rows[g:] + tuple([tuple([-x for x in row]) for row in rows[:g]])
+
+
 def is_anti_symplectic(a: IntMatrix) -> bool:
     """True iff a reverses the intersection form: a^T J a = -J.
 
-    Checked on the columns: <a e_i, a e_j> = -<e_i, e_j> for every i < j,
-    where <e_i, e_j> is 1 if j == i + g and 0 otherwise.
+    One product, a^T @ (J a), compared with -J, which is J^T.  J a and J
+    are row shuffles with signs, not products.
     """
     g = a.genus
-    form = SymplecticForm(g)
-    cols = list(zip(*a.rows))
-    return all(
-        form.pairing(cols[i], cols[j]) == -(j == i + g)
-        for i in range(len(cols))
-        for j in range(i + 1, len(cols))
-    )
+    j = _form_times(IntMatrix.identity(a.dim).rows, g)
+    product = IntMatrix(tuple(zip(*a.rows))) @ IntMatrix(_form_times(a.rows, g))
+    return product.rows == tuple(zip(*j))

@@ -1,0 +1,43 @@
+"""The benchmark's own output check, run on small passes.
+
+`perfbench/workloads.py` checks each `factor-palindrome` result against
+a product of twist matrices in its own integer arithmetic, never
+`eqsurg.matrices`.  Running its tiny `palindrome_g23` pass here makes a
+kernel defect that the benchmark would count as a failed item fail this
+test first.
+"""
+
+import contextlib
+import importlib.util
+import io
+import os
+import sys
+
+import pytest
+
+from eqsurg.cli import main
+
+_WORKLOADS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "perfbench", "workloads.py")
+
+
+def _load_workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", _WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up by name
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = _load_workloads()
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_palindrome_pass_passes_the_benchmark_check(tmp_path, seed):
+    cmds = workloads.palindrome_pass(seed, str(tmp_path), tiny=True)
+    assert cmds
+    for cmd in cmds:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(list(cmd.argv))
+        assert workloads.check_palindrome(cmd, code, out.getvalue()) == 0, cmd.argv

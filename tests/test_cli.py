@@ -213,6 +213,22 @@ def test_verify_malformed_word(capsys, tmp_path, monkeypatch, args):
     assert err.startswith("usage error:")
 
 
+@pytest.mark.parametrize("command", ["verify", "factor-palindrome"])
+def test_deeply_nested_matrix_is_usage_error(capsys, tmp_path, command):
+    # json's decoder raises RecursionError on 200,000 nested arrays
+    deep = "[" * 200_000
+    if command == "verify":
+        argv = ("verify", "--word", "a^1", "--expect", deep)
+    else:
+        (tmp_path / "deep.json").write_text(deep)
+        argv = ("factor-palindrome", "--curves", "(a+b)^1",
+                "--involution", str(tmp_path / "deep.json"))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (64, "")
+    assert err.startswith("usage error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_verify_relations_rejects_max_exp_below_one(capsys):
     # a range of exponents that is empty would pass vacuously
     for max_exp in ("0", "-5"):
@@ -354,6 +370,23 @@ def test_reused_parser_gives_same_results(capsys):
             assert (_sha256(got_out) if got_out else "") == digest, argv
 
 
+@pytest.mark.parametrize("argv", [
+    ("catalog", "s1xs2"),
+    ("catalog", "rp3"),
+    ("catalog", "typeA", "--p", "3", "--q", "1"),
+    ("verify", "--word", "a^1 | cst"),
+    ("factor-palindrome", "--curves", "(a+b)^1"),
+], ids=["s1xs2", "rp3", "typeA", "verify", "factor-palindrome"])
+def test_text_refused_before_the_work(capsys, monkeypatch, argv):
+    def fail(*args, **kwargs):
+        raise AssertionError("the command did its work before refusing --format text")
+
+    for name in ("factor_palindrome", "eval_word", "catalog_s1xs2", "catalog_rp3",
+                 "type_A_chain"):
+        monkeypatch.setattr(cli, name, fail)
+    assert run(capsys, *argv, "--format", "text") == (64, "", _NO_TEXT)
+
+
 def test_main_does_not_build_a_parser(capsys, monkeypatch):
     def fail():
         raise AssertionError("build_parser called by main")
@@ -393,6 +426,10 @@ def _containers(children):
 @example([None, None, 0, False, 0, 1, True, 1])
 @example([[], [], {}, {}, (), ""])
 @example({"a": [{"k": [1]}] * 3 + [{"k": [1]}], "b": ((), [()], {"": None})})
+@example([1, True, 0, False])
+@example([True, False])
+@example([0, 0, 0, 1])  # a run of one cached small int inside an int list
+@example({"i": 1, "b": True, "s": "x", "n": None, "l": [2, 3]})
 def test_dumps_matches_json_dumps(tree):
     assert _dumps(tree) == json.dumps(tree, indent=2)
 
@@ -408,6 +445,8 @@ def test_dumps_rejects_other_types(bad):
 def test_dumps_int_past_digit_limit():
     with pytest.raises(ValueError):
         _dumps({"x": [10**4300]})  # 4301 digits
+    with pytest.raises(ValueError):
+        _dumps([1, 10**4300, 2])  # inside a list of ints
     assert _dumps(10**4299) == str(10**4299)  # 4300 digits still print
 
 

@@ -2,7 +2,7 @@ import random
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eqsurg.matrices import (
@@ -20,10 +20,14 @@ from eqsurg.words import CST, TwistWord, eval_word
 from conftest import (
     det,
     form_matrix,
+    identity_rows,
     mat_pow,
+    matmul_reference,
+    primitive,
     random_anti_symplectic,
     random_curve,
     random_symplectic,
+    real_structure_reference,
     swap_involution,
     transpose,
 )
@@ -45,6 +49,68 @@ def test_from_rows_rejects_odd_dimension():
 def test_from_rows_rejects_ragged():
     with pytest.raises(DimensionMismatch):
         IntMatrix.from_rows([[1, 0], [0]])
+
+
+@pytest.mark.parametrize("dim", [0, 3])
+def test_identity_rejects_zero_or_odd_dimension(dim):
+    with pytest.raises(DimensionMismatch):
+        IntMatrix.identity(dim)
+
+
+huge = st.integers(min_value=-(2**80), max_value=2**80)
+
+
+@st.composite
+def kernel_inputs(draw):
+    """A matrix, a vector and a primitive curve at genus 1-3, entries up to 2**80."""
+    g = draw(st.integers(1, 3))
+    n = 2 * g
+    rows = draw(st.lists(st.lists(huge, min_size=n, max_size=n), min_size=n, max_size=n))
+    other = draw(st.lists(st.lists(huge, min_size=n, max_size=n), min_size=n, max_size=n))
+    vec = draw(st.lists(huge, min_size=n, max_size=n))
+    coords = draw(st.lists(huge, min_size=n, max_size=n).filter(any))
+    power = draw(huge)
+    return IntMatrix.from_rows(rows), IntMatrix.from_rows(other), vec, primitive(coords), power
+
+
+def _column(vec) -> IntMatrix:
+    """The matrix whose first column is vec and whose other entries are 0."""
+    return IntMatrix(tuple((x,) + (0,) * (len(vec) - 1) for x in vec))
+
+
+def _row(vec) -> IntMatrix:
+    """The matrix whose first row is vec and whose other entries are 0."""
+    return IntMatrix((tuple(vec),) + ((0,) * len(vec),) * (len(vec) - 1))
+
+
+_BIG = IntMatrix.from_rows(
+    [[(-1) ** (i + j) * (2**80 - 7 * i - j) for j in range(4)] for i in range(4)]
+)
+
+
+@given(kernel_inputs())
+@settings(max_examples=100, deadline=None)
+@example((_BIG, -_BIG, [2**80, -(2**80), 1, 2**79], CurveClass.of(2**80, 2**80 - 1, -3, 5),
+          -(2**80)))
+def test_kernels_match_reference_product(inputs):
+    a, b, vec, curve, power = inputs
+    n, g = a.dim, a.genus
+    assert a @ b == matmul_reference(a, b)
+    assert a.apply(vec) == tuple(row[0] for row in matmul_reference(a, _column(vec)).rows)
+    j = form_matrix(g)
+    x, y = vec, curve.coords
+    assert SymplecticForm(g).pairing(x, y) == (
+        matmul_reference(_row(x), matmul_reference(j, _column(y))).rows[0][0]
+    )
+    # T = I + power * c w^T, column k being e_k + power * <c, e_k> * c
+    pairing_with_c = matmul_reference(_row(y), j).rows[0]
+    t = IntMatrix(tuple(
+        tuple(int(i == k) + power * pairing_with_c[k] * y[i] for k in range(n))
+        for i in range(n)
+    ))
+    assert a.twist(curve, power) == matmul_reference(a, t)
+    assert IntMatrix.identity(n).rows == identity_rows(n)
+    assert matmul_reference(IntMatrix.identity(n), a) == a
 
 
 @given(mat2(), mat2())
@@ -129,7 +195,7 @@ def test_random_symplectic_preserves_form(seed):
     g = rng.randint(1, 3)
     m = random_symplectic(g, rng)
     j = form_matrix(g)
-    assert transpose(m) @ j @ m == j
+    assert matmul_reference(matmul_reference(transpose(m), j), m) == j
 
 
 @given(st.integers(min_value=0, max_value=10**6))
@@ -144,10 +210,8 @@ def test_random_anti_symplectic_properties(seed):
 
 
 def _assert_checks_match_formulas(a: IntMatrix) -> None:
-    # the entry-by-entry checks against the matrix formulas they replace
-    j = form_matrix(a.genus)
-    assert is_involution(a) == (a @ a == IntMatrix.identity(a.dim))
-    assert is_anti_symplectic(a) == (transpose(a) @ j @ a == -j)
+    # the checks against their matrix formulas, by the reference product
+    assert (is_involution(a), is_anti_symplectic(a)) == real_structure_reference(a)
 
 
 @given(
