@@ -366,7 +366,9 @@ def cmd_verify(args) -> int:
     value = eval_word(word)
     doc = {"word": format_word(word), "matrix": value.to_lists()}
     if args.expect is not None:
-        expected = _parse_matrix(args.expect, f"cannot parse matrix {args.expect!r}")
+        text = args.expect
+        quoted = repr(text) if len(text) <= 60 else f"{text[:60]!r}..."
+        expected = _parse_matrix(text, f"cannot parse matrix {quoted}")
         doc["expected"] = expected.to_lists()
         doc["match"] = value == expected
     _emit(doc, "json")

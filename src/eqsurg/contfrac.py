@@ -29,9 +29,9 @@ class ContFrac:
     def __post_init__(self):
         if not self.terms:
             raise BadInput("continued fraction needs at least one term")
-        if self.flavor is Flavor.POSITIVE and any(r < 2 for r in self.terms):
+        if self.flavor is Flavor.POSITIVE and min(self.terms) < 2:
             raise BadInput(f"positive flavor requires all terms >= 2, got {self.terms}")
-        if self.flavor is Flavor.NEGATIVE and any(r > -2 for r in self.terms):
+        if self.flavor is Flavor.NEGATIVE and max(self.terms) > -2:
             raise BadInput(f"negative flavor requires all terms <= -2, got {self.terms}")
 
     def __len__(self) -> int:

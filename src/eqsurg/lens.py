@@ -77,8 +77,10 @@ class LensTarget:
 
     @property
     def matrix(self) -> IntMatrix:
-        m = IntMatrix.from_rows([[-self.q, self.p_prime], [self.p, self.q]])
-        return m if self.variant is Variant.C else -m
+        p, q, p_prime = self.p, self.q, self.p_prime
+        if self.variant is Variant.C:
+            return IntMatrix(((-q, p_prime), (p, q)))
+        return IntMatrix(((q, -p_prime), (-p, -q)))
 
 
 def admissible_pairs(max_p: int) -> list[tuple[int, int]]:

@@ -4,7 +4,10 @@ Everything downstream (twist words, gluing maps, surgery classification)
 is verified against the operations in this module, so all arithmetic is
 arbitrary-precision integer arithmetic; there is no floating point
 anywhere.  Each inner product runs as `sum(map(mul, ...))` over Python
-ints, so the per-entry loop is C iteration, not bytecode.
+ints, so the per-entry loop is C iteration, not bytecode.  The
+real-structure checks build no product matrix: an involution is checked
+row by row against the identity, an anti-symplectic map by the pairings
+of its columns.
 """
 
 from __future__ import annotations
@@ -72,10 +75,12 @@ class IntMatrix:
         power * (row . c) times w: a rank-1 update, no T is built.  A row
         with row . c = 0 is kept as it is.
         """
-        if curve.genus != self.genus:
+        c = curve.coords
+        if len(c) != len(self.rows):
             raise DimensionMismatch("curve genus does not match matrix genus")
-        c, g = curve.coords, self.genus
-        w = tuple(-x for x in c[g:]) + c[:g]
+        g = len(c) // 2
+        w = [-x for x in c[g:]]
+        w += c[:g]
         rows = []
         for row in self.rows:
             k = power * sum(map(mul, row, c))
@@ -117,8 +122,7 @@ class CurveClass(NamedTuple):
         g = math.gcd(*c)
         if g != 1:
             raise NotPrimitive(f"vector {c} is not primitive (gcd {g})")
-        lead = next(x for x in c if x != 0)
-        if lead < 0:
+        if next(filter(None, c)) < 0:
             c = tuple(-x for x in c)
         return CurveClass(c)
 
@@ -148,8 +152,17 @@ class SymplecticForm:
 
 
 def is_involution(a: IntMatrix) -> bool:
-    """True iff a @ a is the identity: one product, compared with I."""
-    return a @ a == IntMatrix.identity(a.dim)
+    """True iff a @ a is the identity: row i of a @ a is computed and
+    compared with row i of I, and no matrix is built."""
+    rows = a.rows
+    cols = list(zip(*rows))
+    unit = [0] * len(rows)
+    for i, row in enumerate(rows):
+        unit[i] = 1
+        if [sum(map(mul, row, col)) for col in cols] != unit:
+            return False
+        unit[i] = 0
+    return True
 
 
 def transvection(curve: CurveClass, power: int, form: SymplecticForm) -> IntMatrix:
@@ -163,19 +176,20 @@ def transvection(curve: CurveClass, power: int, form: SymplecticForm) -> IntMatr
     return IntMatrix.identity(form.dim).twist(curve, power)
 
 
-def _form_times(rows: tuple[tuple[int, ...], ...], g: int) -> tuple[tuple[int, ...], ...]:
-    """The rows of J m, for m's rows and the form matrix J = [[0, I], [-I, 0]]:
-    the lower half of the rows over the negated upper half."""
-    return rows[g:] + tuple([tuple([-x for x in row]) for row in rows[:g]])
-
-
 def is_anti_symplectic(a: IntMatrix) -> bool:
-    """True iff a reverses the intersection form: a^T J a = -J.
+    """True iff a reverses the intersection form: <a e_i, a e_j> = -<e_i, e_j>.
 
-    One product, a^T @ (J a), compared with -J, which is J^T.  J a and J
-    are row shuffles with signs, not products.
+    The matrix of pairings a^T J a is antisymmetric, so only the pairs of
+    columns i < j are checked: their pairing must be -1 for j = i + g and
+    0 otherwise.  Each pairing is two sums over column halves.
     """
     g = a.genus
-    j = _form_times(IntMatrix.identity(a.dim).rows, g)
-    product = IntMatrix(tuple(zip(*a.rows))) @ IntMatrix(_form_times(a.rows, g))
-    return product.rows == tuple(zip(*j))
+    cols = list(zip(*a.rows))
+    tops = [col[:g] for col in cols]
+    bottoms = [col[g:] for col in cols]
+    for i in range(2 * g):
+        for j in range(i + 1, 2 * g):
+            pairing = sum(map(mul, tops[i], bottoms[j])) - sum(map(mul, bottoms[i], tops[j]))
+            if pairing != -(j == i + g):
+                return False
+    return True

@@ -277,8 +277,7 @@ def validate_equivariant_shape(w: TwistWord) -> EquivariantShape:
     image = {c: c.image_under(w.base) for c in {c for c, _ in fs}}
 
     t_max = 0
-    while t_max < n // 2:
-        (c, e), (mirror_c, mirror_e) = fs[t_max], fs[n - 1 - t_max]
+    for (c, e), (mirror_c, mirror_e) in zip(fs[:n // 2], reversed(fs)):
         if e != mirror_e or image[c] != mirror_c:
             break
         t_max += 1
@@ -298,7 +297,7 @@ def validate_equivariant_shape(w: TwistWord) -> EquivariantShape:
                     f"middle curves {curve_name(ci)} and {curve_name(cj)} "
                     "are not disjoint"
                 )
-    mirror = tuple(fs[n - 1 - i][0] for i in range(t_max))
+    mirror = tuple([c for c, _ in reversed(fs[n - t_max:])])
     return EquivariantShape(fs[:t_max], mid, mirror, w.base)
 
 

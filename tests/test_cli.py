@@ -227,6 +227,14 @@ def test_deeply_nested_matrix_is_usage_error(capsys, tmp_path, command):
     assert (code, out) == (64, "")
     assert err.startswith("usage error:") and err.count("\n") == 1
     assert "Traceback" not in err
+    assert len(err) < 200  # the input is quoted only in part
+
+
+def test_malformed_expect_is_quoted_up_to_60_characters(capsys):
+    for text, quoted in (("x" * 60, repr("x" * 60)), ("x" * 61, repr("x" * 60) + "...")):
+        code, out, err = run(capsys, "verify", "--word", "a^1", "--expect", text)
+        assert (code, out) == (64, "")
+        assert err.startswith(f"usage error: cannot parse matrix {quoted}: ")
 
 
 def test_verify_relations_rejects_max_exp_below_one(capsys):

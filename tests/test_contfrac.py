@@ -59,10 +59,18 @@ def test_negative_expansion_known_values():
 
 
 def test_flavor_bounds_enforced():
-    with pytest.raises(BadInput):
-        ContFrac((1,), Flavor.POSITIVE)  # positive terms must be >= 2
-    with pytest.raises(BadInput):
-        ContFrac((-1,), Flavor.NEGATIVE)  # negative terms must be <= -2
+    # positive terms must be >= 2 and negative terms <= -2, at any position
+    for terms, flavor in [
+        ((1,), Flavor.POSITIVE),
+        ((-1,), Flavor.NEGATIVE),
+        ((2, 1, 3), Flavor.POSITIVE),
+        ((3, 2, 1), Flavor.POSITIVE),
+        ((-2, -1, -3), Flavor.NEGATIVE),
+    ]:
+        with pytest.raises(BadInput):
+            ContFrac(terms, flavor)
+    assert ContFrac((2, 2), Flavor.POSITIVE).terms == (2, 2)
+    assert ContFrac((-2, -2), Flavor.NEGATIVE).terms == (-2, -2)
 
 
 def test_bad_pq_rejected():

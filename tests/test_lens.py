@@ -42,6 +42,17 @@ def test_target_invariants():
     assert t.matrix @ t.matrix == IntMatrix.identity(2)
 
 
+@pytest.mark.parametrize("variant", list(Variant))
+def test_target_matrix_is_the_signed_gluing_matrix(variant):
+    sign = 1 if variant is Variant.C else -1
+    for p, q in admissible_pairs(200):
+        m = LensTarget(p, q, variant).matrix
+        p_prime = (1 - q * q) // p
+        expected = IntMatrix.from_rows([[-q, p_prime], [p, q]])
+        assert m == (expected if sign == 1 else -expected), (p, q)
+        assert all(type(x) is int for row in m.rows for x in row)
+
+
 def test_inadmissible_pairs_rejected():
     with pytest.raises(InadmissiblePair):
         LensTarget(5, 2, Variant.C)  # 4 != 1 mod 5

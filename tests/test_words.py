@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eqsurg.contact import legalize
@@ -263,6 +263,55 @@ def test_shape_single_split_matches_every_split(outer, middle, data):
         assert str(exc) == expected
     else:
         assert (shape.outer, shape.middle, shape.mirror) == expected
+
+
+_G1_CURVES = [CURVE_A, CURVE_B, CURVE_APB, CURVE_AMB]
+_EXP = st.integers(-3, 3).filter(bool)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(st.sampled_from(_G1_CURVES), _EXP), max_size=5),
+    st.sampled_from([CURVE_APB, CURVE_AMB]),
+    st.lists(_EXP, max_size=4),
+    st.none() | st.tuples(st.integers(0, 4), st.booleans(), st.integers(0, 3), _EXP),
+)
+@example([], CURVE_APB, [], None)  # length 0
+@example([], CURVE_AMB, [2], None)  # length 1
+@example([(CURVE_A, 2)], CURVE_APB, [], None)  # length 2
+@example([(CURVE_B, 2), (CURVE_A, 3)], CURVE_APB, [], None)  # fully mirrored
+@example([(CURVE_B, 2), (CURVE_APB, 1)], CURVE_APB, [1, 3], (1, True, 0, 1))
+def test_shape_mirror_walk_slices(left, middle_curve, middle_exps, mutation):
+    """A word left . middle . mirrored left splits at the depth where the
+    mirror walk stops: the whole left half plus the mirrored part of the
+    middle, or the depth of a changed mirror factor."""
+    middle = [(middle_curve, e) for e in middle_exps]
+    mirror = [(c.image_under(CST), e) for c, e in reversed(left)]
+    k = len(middle_exps)
+    t = len(left) + next((i for i in range(k // 2) if middle_exps[i] != middle_exps[-1 - i]),
+                         k // 2)
+    if left and mutation is not None:
+        depth, change_curve, curve_index, exp = mutation
+        t = depth % len(left)
+        c, e = mirror[-1 - t]
+        if change_curve:
+            c = next(x for x in _G1_CURVES[curve_index:] + _G1_CURVES if x != c)
+        else:
+            e = exp if exp != e else -e
+        mirror[-1 - t] = (c, e)
+    fs = tuple(left + middle + mirror)
+    n = len(fs)
+    mid_curves = {c for c, _ in fs[t:n - t]}
+    # at genus 1 the cst-invariant curves are a+b and a-b, and two distinct
+    # curves always intersect
+    if mid_curves <= {CURVE_APB} or mid_curves <= {CURVE_AMB}:
+        shape = validate_equivariant_shape(TwistWord(fs, CST))
+        assert shape.outer == fs[:t]
+        assert shape.middle == fs[t:n - t]
+        assert shape.mirror == tuple(c for c, _ in fs[n - t:][::-1])
+    else:
+        with pytest.raises(ShapeError):
+            validate_equivariant_shape(TwistWord(fs, CST))
 
 
 # --- recursive invariance ----------------------------------------------------
