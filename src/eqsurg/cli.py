@@ -12,11 +12,11 @@ import argparse
 import json
 import os
 import sys
-from itertools import groupby
+from itertools import accumulate, groupby
 from json.encoder import encode_basestring_ascii
 from typing import Optional
 
-from .contfrac import BadInput
+from .contfrac import BadInput, Flavor, runs
 from .lens import (
     InadmissiblePair,
     Variant,
@@ -312,15 +312,17 @@ def cmd_catalog(args) -> int:
     if args.p is None or args.q is None:
         raise UsageError("catalog typeA requires --p and --q")
     try:
+        # every r_i <= -2, so knot i has |r_i + 1| = -r_i - 1 rotation
+        # numbers; their running sum is bounded before any run is listed
+        sums = accumulate((-r - 1) * k for r, k in runs(args.p, args.q, Flavor.NEGATIVE))
+        if any(n > MAX_ROTATION_CHOICES for n in sums):
+            raise UsageError(
+                f"the chain has more than {MAX_ROTATION_CHOICES} rotation numbers to list"
+            )
         report = type_A_chain(args.p, args.q)
     except BadInput as exc:
         print(f"inadmissible: {exc}", file=sys.stderr)
         return EXIT_INADMISSIBLE
-    # every r_i <= -2, so knot i has |r_i + 1| = -r_i - 1 rotation numbers
-    if sum(-r - 1 for r in report.coefficients) > MAX_ROTATION_CHOICES:
-        raise UsageError(
-            f"the chain has more than {MAX_ROTATION_CHOICES} rotation numbers to list"
-        )
     _emit({"catalog": "typeA", **report.to_json_dict()}, "json")
     return EXIT_OK
 

@@ -3,6 +3,8 @@
 Positive flavor: p/q = [r_1,...,r_n] with every r_i >= 2, expanded by
 ceiling division.  Negative flavor: the analogous expansion of -p/q with
 every r_i <= -2.  Both use the nested expression r_1 - 1/(r_2 - ...).
+A run of terms 2 (or -2) is found in one step: it has q // (p - q)
+terms, a quotient of Euclid's algorithm on (q, p - q).
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 
 class Flavor(enum.Enum):
@@ -45,29 +48,42 @@ def _check_pq(p: int, q: int) -> None:
         raise BadInput(f"p={p} and q={q} are not coprime")
 
 
-def expand(p: int, q: int, flavor: Flavor = Flavor.POSITIVE) -> ContFrac:
-    """Expand p/q (positive flavor) or -p/q (negative flavor)."""
+def runs(p: int, q: int, flavor: Flavor = Flavor.POSITIVE) -> Iterator[tuple[int, int]]:
+    """The terms of `expand(p, q, flavor)` as runs (term, count), in order.
+
+    A run of 2s (or -2s) is a maximal one; any other term is a run of
+    its own.  A bad (p, q) raises BadInput before anything is yielded.
+    """
     _check_pq(p, q)
-    terms = []
-    if flavor is Flavor.POSITIVE:
-        # r = ceil(p/q), then recurse on the reciprocal remainder.
-        while True:
+    sign = 1 if flavor is Flavor.POSITIVE else -1
+    # -p/q = [-r_1, ..., -r_n] when p/q = [r_1, ..., r_n], so both flavors
+    # run the ceiling expansion of p/q: r = ceil(p/q), then recurse on the
+    # reciprocal remainder q/(r*q - p).
+    while True:
+        d = p - q
+        if d <= q:
+            # a run of 2s: (p, q) -> (q, q - d) keeps d = p - q, so the
+            # run has q // d terms; it ends the expansion when d = 1
+            k = q // d
+            yield 2 * sign, k
+            if d == 1:
+                return
+            q %= d
+            p = q + d
+        else:
             r = -(-p // q)
-            terms.append(r)
+            yield r * sign, 1
             rem = r * q - p
             if rem == 0:
-                break
+                return
             p, q = q, rem
-    else:
-        # value v = -p/q; choose the unique r <= -2 with v - 1 < r <= v.
-        while True:
-            r = -((p + q - 1) // q)  # floor(-p/q)
-            if r * q == -p:
-                terms.append(r)
-                break
-            terms.append(r)
-            # -p/q = r - 1/x  =>  x = q / (r*q + p), rewritten as -p2/q2
-            p, q = q, -(r * q + p)
+
+
+def expand(p: int, q: int, flavor: Flavor = Flavor.POSITIVE) -> ContFrac:
+    """Expand p/q (positive flavor) or -p/q (negative flavor)."""
+    terms = []
+    for r, k in runs(p, q, flavor):
+        terms += [r] * k
     return ContFrac(tuple(terms), flavor)
 
 

@@ -194,9 +194,9 @@ def word_to_diagram(shape: EquivariantShape) -> SurgeryDiagram:
     """
     if shape.base != CST:
         raise SurgeryError("diagram emission currently supports the standard base only")
-    pairs = tuple(
+    pairs = tuple([
         (curve, mirror, -exp) for (curve, exp), mirror in zip(shape.outer, shape.mirror)
-    )
+    ])
     knots = []
     for curve, exp in shape.middle:
         unit = 1 if exp > 0 else -1

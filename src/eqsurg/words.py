@@ -88,13 +88,23 @@ class TwistWord:
 def eval_word(w: TwistWord) -> IntMatrix:
     if w.genus == 1:
         # IntMatrix.twist on the rows (a, b) and (c, d); the curve (x, y)
-        # has twist vector (-y, x)
+        # has twist vector (-y, x).  A curve (x, 0) changes only b and d,
+        # a curve (0, y) only a and c.
         a, b, c, d = 1, 0, 0, 1
         for curve, e in w.factors:
             x, y = curve.coords
-            s = e * (a * x + b * y)
-            t = e * (c * x + d * y)
-            a, b, c, d = a - s * y, b + s * x, c - t * y, d + t * x
+            if not y:
+                f = e * x * x
+                b += f * a
+                d += f * c
+            elif not x:
+                f = e * y * y
+                a -= f * b
+                c -= f * d
+            else:
+                s = e * (a * x + b * y)
+                t = e * (c * x + d * y)
+                a, b, c, d = a - s * y, b + s * x, c - t * y, d + t * x
         m = IntMatrix(((a, b), (c, d)))
     else:
         m = IntMatrix.identity(2 * w.genus)
@@ -258,6 +268,18 @@ class EquivariantShape:
     base: IntMatrix
 
 
+class _Images(dict):
+    """curve -> its image under `base`, computed on the first lookup."""
+
+    def __init__(self, base: IntMatrix):
+        super().__init__()
+        self.base = base
+
+    def __missing__(self, c: CurveClass) -> CurveClass:
+        self[c] = image = c.image_under(self.base)
+        return image
+
+
 def validate_equivariant_shape(w: TwistWord) -> EquivariantShape:
     """Parse w as outer * middle * mirrored-outer * base, or raise ShapeError.
 
@@ -274,7 +296,7 @@ def validate_equivariant_shape(w: TwistWord) -> EquivariantShape:
     form = SymplecticForm(w.genus)
     fs = w.factors
     n = len(fs)
-    image = {c: c.image_under(w.base) for c in {c for c, _ in fs}}
+    image = _Images(w.base)
 
     t_max = 0
     for (c, e), (mirror_c, mirror_e) in zip(fs[:n // 2], reversed(fs)):

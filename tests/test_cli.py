@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -102,6 +103,30 @@ def test_catalog_type_a_at_rotation_bound(capsys):
     code, out, _ = run(capsys, "catalog", "typeA", "--p", "100001", "--q", "1")
     assert code == 0
     assert len(json.loads(out)["rotation_choices"][0]) == 100_000
+
+
+def test_catalog_type_a_refused_before_listing(capsys):
+    # L(2000000, 1999999) is a chain of 1,999,999 knots (-2), one rotation
+    # number each: refused before the chain's terms are listed
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "catalog", "typeA", "--p", "2000000", "--q", "1999999")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (64, "")
+    assert "more than 100000 rotation numbers" in err
+    assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("a, b, code", [(50_000, 49_999, 64), (49_999, 49_999, 0)])
+def test_catalog_type_a_bound_sums_runs(capsys, a, b, code):
+    # [-2]*a + [-3] + [-2]*b expands -p/q: a + 2 + b rotation numbers
+    p, q = a * b + 2 * a + 2 * b + 3, a * b + 2 * a + b + 1
+    got, out, _ = run(capsys, "catalog", "typeA", "--p", str(p), "--q", str(q))
+    assert got == code
+    if code == 0:
+        assert json.loads(out)["coefficients"] == [-2] * a + [-3] + [-2] * b
 
 
 def test_catalog_type_a_needs_pq(capsys):

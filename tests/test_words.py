@@ -31,6 +31,7 @@ from eqsurg.words import (
 )
 
 from conftest import (
+    matmul_reference,
     primitive,
     random_anti_symplectic,
     random_invariant_curve,
@@ -48,6 +49,45 @@ def test_eval_applies_rightmost_first():
     form = SymplecticForm(1)
     expected = transvection(CURVE_A, 1, form) @ transvection(CURVE_B, 1, form)
     assert eval_word(w) == expected
+
+
+def twist_reference(curve: CurveClass, e: int) -> IntMatrix:
+    """The genus-1 twist matrix x -> x + e <c, x> c, entry by entry."""
+    x, y = curve.coords
+    return IntMatrix(((1 - e * x * y, e * x * x), (-e * y * y, 1 + e * x * y)))
+
+
+def eval_reference(w: TwistWord) -> IntMatrix:
+    m = IntMatrix.identity(2)
+    for curve, e in w.factors:
+        m = matmul_reference(m, twist_reference(curve, e))
+    return m if w.base is None else matmul_reference(m, w.base)
+
+
+genus1_factors = st.lists(
+    st.tuples(
+        st.sampled_from([CURVE_A] * 3 + [CURVE_B] * 3 + [CURVE_APB, CURVE_AMB]),
+        st.integers(-10**6, 10**6).filter(bool),
+    ),
+    max_size=30,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(genus1_factors, st.booleans())
+def test_genus1_eval_matches_reference(factors, with_base):
+    w = tw(*factors, base=CST if with_base else None)
+    assert eval_word(w) == eval_reference(w)
+
+
+def test_genus1_eval_takes_coordinate_signs():
+    # built directly, so not sign-normalized: x = -1 and y = -1
+    minus_a, minus_b = CurveClass((-1, 0)), CurveClass((0, -1))
+    w = tw((minus_a, 3), (CURVE_APB, 2), (minus_b, -5), (CURVE_A, -7), (CURVE_B, 4))
+    assert eval_word(w) == eval_reference(w)
+    assert eval_word(tw((minus_a, 3), (minus_b, -5))) == eval_word(
+        tw((CURVE_A, 3), (CURVE_B, -5))
+    )
 
 
 def test_base_is_rightmost_factor():
