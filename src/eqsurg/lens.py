@@ -218,28 +218,24 @@ class BuildReport:
 def build(p: int, q: int, variant: Variant) -> BuildReport:
     """Factor, verify, and legalize the (p, q) gluing of the given variant.
 
-    The matrix verdict is recomputed from scratch; when the raw contact
-    diagram is illegal, the word is scanned once for the rewrite pattern
-    a^-1 (a+b)^1 b^-1, and if it is there the rewrite is applied and the
-    diagram rebuilt.
+    One pass: the factored word is scanned once for the rewrite pattern
+    a^-1 (a+b)^1 b^-1 and rewritten to (a-b)^-1 if it is there; the final
+    word is then verified from scratch and assembled, once each.
     """
     target = LensTarget(p, q, variant)
     cf, word = _word(target)
+    # Outer exponents are terms >= 2, so the pattern can only sit in a middle,
+    # and only _MIDDLE's (C, 4k+1) entry at t = 2 spells it: a positive c4
+    # knot, always illegal, which the rewrite makes a c1 knot.
+    at = find_fix_rule(word)
+    if at is not None:
+        word = apply_fix_rule(word, at)
     matrix_ok = eval_word(word) == target.matrix
     try:
         contact = assemble(word)
     except ShapeError:
-        return BuildReport(target, cf, word, matrix_ok, False, None)
-    fix_applied = False
-    at = None if contact.overall_legal else find_fix_rule(word)
-    if at is not None:
-        fixed = apply_fix_rule(word, at)
-        if eval_word(fixed) == target.matrix:
-            word = fixed
-            matrix_ok = True
-            fix_applied = True
-            contact = assemble(word)
-    return BuildReport(target, cf, word, matrix_ok, fix_applied, contact)
+        contact = None
+    return BuildReport(target, cf, word, matrix_ok, at is not None, contact)
 
 
 # ---------------------------------------------------------------------------

@@ -158,9 +158,9 @@ class SurgeryDiagram:
     """A leveled surgery link.
 
     `knots` holds the invariant knots; a knot with `count` m stands for m
-    parallel copies.  `pairs` holds the mirrored pairs as (primary curve,
-    mirror curve, coeff), deepest first: pair idx sits on levels -i and
-    +i with i = len(pairs) - idx.  Its JSON document, which
+    parallel copies.  `outer` and `mirror` are the shape's slices of the
+    word; `pair_knots` reads outer[idx] and its partner mirror[-1 - idx]
+    as pair i = len(outer) - idx.  Its JSON document, which
     `ContactDiagram.to_json_dicts` builds next to the contact one, lists
     the pair knots, then one entry per copy of each invariant knot, and
     the copies of a knot share one document.  The ambient manifold is
@@ -168,37 +168,35 @@ class SurgeryDiagram:
     """
 
     knots: tuple[SurgeryKnot, ...]
-    pairs: tuple[tuple[CurveClass, CurveClass, int], ...] = ()
+    outer: tuple[tuple[CurveClass, int], ...] = ()
+    mirror: tuple[tuple[CurveClass, int], ...] = ()
 
     def invariant_knots(self) -> list[SurgeryKnot]:
         return list(self.knots)
 
     def pair_knots(self) -> list[SurgeryKnot]:
-        """Each pair's primary (level -i) and mirror (level +i) knot, deepest first."""
+        """Pair i's primary (level -i) and mirror (level +i) knot, deepest
+        first; outer factor (gamma, sigma) gives both the coefficient -sigma."""
         out = []
-        t = len(self.pairs)
-        for idx, (primary, mirror, coeff) in enumerate(self.pairs):
-            out.append(SurgeryKnot(idx - t, primary, coeff))
-            out.append(SurgeryKnot(t - idx, mirror, coeff))
+        i = len(self.outer)
+        for (primary, sigma), (mirror, _) in zip(self.outer, reversed(self.mirror)):
+            out += [SurgeryKnot(-i, primary, -sigma), SurgeryKnot(i, mirror, -sigma)]
+            i -= 1
         return out
 
 
 def word_to_diagram(shape: EquivariantShape) -> SurgeryDiagram:
     """Leveled surgery link realizing the equivariant product.
 
-    Outer factor (gamma, sigma) becomes a mirrored knot pair on levels
-    -i/+i with surface-framed coefficient -sigma on both; each middle
-    run (gamma, m) becomes one invariant knot at level 0 with coefficient
-    sign(m) and count |m|.  Knot types of invariant curves come from the
-    built-in genus-1 table for the standard involution.
+    The shape's outer and mirror slices become the pairs as they are; each
+    middle run (gamma, m) becomes one invariant knot at level 0 with
+    coefficient sign(m) and count |m|.  Knot types of invariant curves
+    come from the built-in genus-1 table for the standard involution.
     """
     if shape.base != CST:
         raise SurgeryError("diagram emission currently supports the standard base only")
-    pairs = tuple([
-        (curve, mirror, -exp) for (curve, exp), mirror in zip(shape.outer, shape.mirror)
-    ])
     knots = []
     for curve, exp in shape.middle:
         unit = 1 if exp > 0 else -1
         knots.append(SurgeryKnot(0, curve, unit, knot_type_under_cst(curve), abs(exp)))
-    return SurgeryDiagram(tuple(knots), pairs)
+    return SurgeryDiagram(tuple(knots), shape.outer, shape.mirror)

@@ -253,18 +253,17 @@ def verify_relations(max_exp: int = 10) -> list[dict]:
 
 @dataclass(frozen=True)
 class EquivariantShape:
-    """Parsed mirrored word: outer f-part and invariant middle.
+    """Parsed mirrored word: outer f-part, invariant middle, mirrored part.
 
-    `middle` holds the word's middle factors as they are: (curve, m)
+    All three are slices of the word's factors.  A middle factor (curve, m)
     stands for a run of |m| parallel twists of sign m along the curve.
-    `outer` and `middle` are slices of the word's factors.  `mirror[i]`
-    is the curve of the factor paired with `outer[i]`, i.e. the image of
-    outer[i]'s curve under the base involution.
+    `mirror[-1 - i]` pairs with `outer[i]`: the same exponent on the image
+    of outer[i]'s curve under the base involution.
     """
 
     outer: tuple[tuple[CurveClass, int], ...]
     middle: tuple[tuple[CurveClass, int], ...]
-    mirror: tuple[CurveClass, ...]
+    mirror: tuple[tuple[CurveClass, int], ...]
     base: IntMatrix
 
 
@@ -319,8 +318,7 @@ def validate_equivariant_shape(w: TwistWord) -> EquivariantShape:
                     f"middle curves {curve_name(ci)} and {curve_name(cj)} "
                     "are not disjoint"
                 )
-    mirror = tuple([c for c, _ in reversed(fs[n - t_max:])])
-    return EquivariantShape(fs[:t_max], mid, mirror, w.base)
+    return EquivariantShape(fs[:t_max], mid, fs[n - t_max:], w.base)
 
 
 # ---------------------------------------------------------------------------

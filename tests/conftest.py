@@ -54,8 +54,15 @@ def transpose(m: IntMatrix) -> IntMatrix:
 
 def det(m: IntMatrix) -> int:
     """Exact determinant by fraction-free Gaussian elimination (Bareiss)."""
-    n = m.dim
-    a = [list(row) for row in m.rows]
+    return det_rows(m.rows)
+
+
+def det_rows(rows) -> int:
+    """`det` of any square matrix given as integer rows; 1 when it is empty."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    a = [list(row) for row in rows]
     sign = 1
     prev = 1
     for k in range(n - 1):

@@ -174,7 +174,8 @@ def test_runs_equal_unit_copies(p, q, variant):
     assert any(k.count > 1 for k in d.knots)
     units = SurgeryDiagram(
         tuple(dataclasses.replace(k, count=1) for k in d.knots for _ in range(k.count)),
-        d.pairs,
+        d.outer,
+        d.mirror,
     )
     split = legalize(units)
     assert split.to_json_dicts() == c.to_json_dicts()
@@ -191,7 +192,7 @@ def test_legalize_key_separates_roles(runs):
         SurgeryKnot(0, CURVE_APB, -1, TorusType.C4, count),
         SurgeryKnot(0, CURVE_APB, -1, TorusType.C3, count),
     )
-    d = SurgeryDiagram(knots, ((CURVE_APB, CURVE_APB, 1),))
+    d = SurgeryDiagram(knots, ((CURVE_APB, -1),), ((CURVE_APB, -1),))
     c = legalize(d)
     alone = tuple(_knot_data(k) for k in knots)
     assert alone[1] != alone[2]

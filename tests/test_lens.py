@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import eqsurg.lens
 from eqsurg.contact import TightnessHint
 from eqsurg.contfrac import expand
 from eqsurg.lens import (
@@ -196,33 +197,67 @@ def test_middle_legality_trichotomy_small_census():
         assert build(p, q, Variant.C_PRIME).legal
 
 
-def test_build_scans_for_the_fix_rule_at_most_once(monkeypatch):
-    # only a word whose raw diagram is illegal is scanned, once, and the
-    # rewrite gets the index that scan found
-    scans, rewrites = [], []
+def test_build_is_one_straight_pass(monkeypatch):
+    # each build scans the factored word once, before verifying anything,
+    # hands the rewrite the index that scan found, and then verifies and
+    # assembles the final word once each
+    calls = []
 
-    def scan(word):
-        scans.append(word)
-        return find_fix_rule(word)
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append((name, args))
+            return fn(*args)
+        return wrapper
 
-    def rewrite(word, i):
-        rewrites.append((word, i))
-        return apply_fix_rule(word, i)
-
-    monkeypatch.setattr("eqsurg.lens.find_fix_rule", scan)
-    monkeypatch.setattr("eqsurg.lens.apply_fix_rule", rewrite)
+    for name in ("find_fix_rule", "apply_fix_rule", "eval_word", "assemble",
+                 "validate_equivariant_shape", "word_to_diagram", "legalize"):
+        fn = getattr(eqsurg.lens, name)
+        monkeypatch.setattr(f"eqsurg.lens.{name}", counted(name, fn))
     applied = 0
     for p, q in admissible_pairs(60):
         for variant in (Variant.C, Variant.C_PRIME):
-            del scans[:], rewrites[:]
-            r = build(p, q, variant)
             word = (factor_C if variant is Variant.C else factor_Cprime)(p, q)
-            assert scans == ([] if assemble(word).overall_legal else [word])
-            at = find_fix_rule(word) if scans else None
-            assert rewrites == ([] if at is None else [(word, at)])
+            at = find_fix_rule(word)
+            del calls[:]
+            r = build(p, q, variant)
+            assert [name for name, _ in calls] == (
+                ["find_fix_rule"] + ([] if at is None else ["apply_fix_rule"])
+                + ["eval_word", "assemble", "validate_equivariant_shape",
+                   "word_to_diagram", "legalize"]
+            )
+            assert calls[0][1] == (word,)
+            if at is not None:
+                assert calls[1][1] == (word, at)
+            assert [args for name, args in calls if name in ("eval_word", "assemble")] == [
+                (r.word,), (r.word,)
+            ]
             assert r.fix_rule_applied == (at is not None)
             applied += r.fix_rule_applied
     assert applied > 0
+
+
+def test_fix_rule_pattern_sits_only_in_the_c_4k_plus_1_middle_at_t_2():
+    # outer exponents are terms >= 2, so the pattern a^-1 (a+b)^1 b^-1 can
+    # only sit in a middle, and only the (C, 4k+1) middle at t = 2 spells
+    # it; that raw diagram is illegal by its positive c4 middle alone, and
+    # the rewrite makes it legal
+    hits = 0
+    for p, q in admissible_pairs(500):
+        for variant in (Variant.C, Variant.C_PRIME):
+            word = (factor_C if variant is Variant.C else factor_Cprime)(p, q)
+            r = build(p, q, variant)
+            terms = r.cf.terms
+            at = find_fix_rule(word)
+            spelled = (variant is Variant.C and len(terms) % 4 == 1
+                       and terms[len(terms) // 2] == 2)
+            assert (at is not None) == spelled, (p, q, variant)
+            if at is not None:
+                raw = assemble(word)
+                assert not raw.overall_legal and set(raw.flags()) == {"PositiveC4Middle"}
+                assert assemble(apply_fix_rule(word, at)).overall_legal
+                hits += 1
+            assert find_fix_rule(r.word) is None
+    assert hits == 258
 
 
 def test_catalog_s1xs2_entries():

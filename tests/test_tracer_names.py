@@ -28,7 +28,8 @@ def _load_tracer():
     return module.Tracer
 
 
-def test_tracer_installs_on_the_live_package():
+def _traced(argv):
+    """Run one command under the tracer; its metrics, with the modules restored."""
     modules = (eqsurg.cli, eqsurg.lens, eqsurg.words, eqsurg.matrices)
     before = [dict(vars(m)) for m in modules]
     to_json = eqsurg.lens.BuildReport.to_json_dict
@@ -39,13 +40,27 @@ def test_tracer_installs_on_the_live_package():
         main = tracer.wrap("cli.main", eqsurg.cli.main)
         tracer.request += 1
         with contextlib.redirect_stdout(io.StringIO()):
-            assert main(["lens", "--p", "5", "--q", "4"]) == 0
+            assert main(argv) == 0
         tracer.end_request()
     finally:
         tracer.restore()
-    metrics = tracer.layer_metrics()
-    assert metrics["lens.build.calls"] == 1
-    assert metrics["words.shape.self_s"] > 0
     assert [dict(vars(m)) for m in modules] == before
     assert eqsurg.lens.BuildReport.to_json_dict is to_json
     assert eqsurg.matrices.IntMatrix.__matmul__ is matmul
+    return tracer.layer_metrics()
+
+
+def test_tracer_installs_on_the_live_package():
+    metrics = _traced(["lens", "--p", "5", "--q", "4"])
+    assert metrics["lens.build.calls"] == 1
+    assert metrics["words.shape.self_s"] > 0
+
+
+def test_fix_build_runs_one_pass_under_the_tracer():
+    # L(6, 5) expands to [2, 2, 2, 2, 2], so its C word holds the rewrite
+    # pattern: the build rewrites it, then verifies and assembles once
+    metrics = _traced(["lens", "--p", "6", "--q", "5"])
+    assert metrics["lens.build.calls"] == 1
+    assert metrics["words.eval_word.calls"] == 1
+    assert metrics["lens.assemble_ratio"] == 1.0
+    assert metrics["words.fix_rule.hit_ratio"] == 1.0

@@ -163,7 +163,10 @@ def test_shape_fully_mirrored():
     shape = validate_equivariant_shape(w)
     assert shape.middle == ()
     assert [c.coords for c, _ in shape.outer] == [(0, 1), (1, 0)]
-    assert [c.coords for c in shape.mirror] == [(1, 0), (0, 1)]
+    # the mirrored part is the word's last two factors; read from the
+    # inside out, each carries the image of its outer partner's curve
+    assert shape.mirror == w.factors[2:]
+    assert [c.coords for c, _ in reversed(shape.mirror)] == [(1, 0), (0, 1)]
 
 
 def test_shape_with_invariant_middle():
@@ -269,7 +272,7 @@ def _shape_every_split(w):
     for t in range(t_max, -1, -1):
         error = _split_error(fs[t:n - t], w.base)
         if error is None:
-            return fs[:t], fs[t:n - t], tuple(c for c, _ in reversed(fs[n - t:]))
+            return fs[:t], fs[t:n - t], fs[n - t:]
         errors.append(error)
     return errors[0]
 
@@ -348,7 +351,7 @@ def test_shape_mirror_walk_slices(left, middle_curve, middle_exps, mutation):
         shape = validate_equivariant_shape(TwistWord(fs, CST))
         assert shape.outer == fs[:t]
         assert shape.middle == fs[t:n - t]
-        assert shape.mirror == tuple(c for c, _ in fs[n - t:][::-1])
+        assert shape.mirror == fs[n - t:]
     else:
         with pytest.raises(ShapeError):
             validate_equivariant_shape(TwistWord(fs, CST))
