@@ -20,6 +20,7 @@ from .matrices import IntMatrix
 from .surgery import SurgeryDiagram, word_to_diagram
 from .words import (
     CST,
+    CST_IMAGES,
     CURVE_A,
     CURVE_AMB,
     CURVE_APB,
@@ -96,9 +97,6 @@ def admissible_pairs(max_p: int) -> list[tuple[int, int]]:
     ]
 
 
-# The base's image of each curve of the left half.
-_IMAGE = {c: c.image_under(CST) for c in (CURVE_A, CURVE_B)}
-
 # The middle of the word, keyed by (prime, n mod 4) where prime means
 # variant C', as a function of the centre term t = terms[half]; only the
 # odd cases read it.
@@ -123,7 +121,7 @@ def _factor(terms: tuple[int, ...], prime: bool) -> TwistWord:
     half = n // 4 * 2 + (n % 4 >= 2)
     left = [((CURVE_B, CURVE_A)[i % 2], terms[i]) for i in range(half)]
     middle = _MIDDLE[prime, n % 4](terms[half])
-    mirror = [(_IMAGE[c], e) for c, e in reversed(left)]
+    mirror = [(CST_IMAGES[c], e) for c, e in reversed(left)]
     return TwistWord.of(left + middle + mirror, base=CST)
 
 

@@ -7,6 +7,10 @@ word g_k ... g_1 evaluates to M(g_k) @ ... @ M(g_1).
 
 All genus >= 2 verdicts here are homology-level: curve equality means
 equality of primitive classes up to sign.
+
+At genus 1 a real structure is decided by det and trace alone, a base is
+folded into `eval_word`'s four integer locals, and `CST_IMAGES` holds the
+standard base's image of each named curve, computed once at import.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ _GENUS1_NAMES = {
     CURVE_AMB: "a-b",
 }
 _GENUS1_CURVES = {name: curve for curve, name in _GENUS1_NAMES.items()}
+CST_IMAGES = {c: c.image_under(CST) for c in _GENUS1_NAMES}
 
 
 class WordError(ValueError):
@@ -51,10 +56,19 @@ class ShapeError(ValueError):
 
 
 def _check_real_structure(s: IntMatrix, genus: int, name: str = "s") -> None:
-    """Raise WordError unless `s` is an anti-symplectic involution at `genus`."""
+    """Raise WordError unless `s` is an anti-symplectic involution at `genus`.
+
+    At genus 1, <Mx, My> = det(M) <x, y>, so M reverses the form iff det M = -1;
+    then M^2 = tr(M) M + I (Cayley-Hamilton), so M^2 = I iff tr M = 0.
+    """
     if s.genus != genus:
         raise WordError(f"{name} acts at genus {s.genus} but the word lies at genus {genus}")
-    if not (is_involution(s) and is_anti_symplectic(s)):
+    if genus == 1:
+        (a, b), (c, d) = s.rows
+        ok = a * d - b * c == -1 and a + d == 0
+    else:
+        ok = is_involution(s) and is_anti_symplectic(s)
+    if not ok:
         raise WordError(f"{name} must be an anti-symplectic involution")
 
 
@@ -105,14 +119,14 @@ def eval_word(w: TwistWord) -> IntMatrix:
                 s = e * (a * x + b * y)
                 t = e * (c * x + d * y)
                 a, b, c, d = a - s * y, b + s * x, c - t * y, d + t * x
-        m = IntMatrix(((a, b), (c, d)))
-    else:
-        m = IntMatrix.identity(2 * w.genus)
-        for curve, e in w.factors:
-            m = m.twist(curve, e)
-    if w.base is not None:
-        m = m @ w.base
-    return m
+        if w.base is not None:  # the product with the base, in the same locals
+            (p, q), (r, s) = w.base.rows
+            a, b, c, d = a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s
+        return IntMatrix(((a, b), (c, d)))
+    m = IntMatrix.identity(2 * w.genus)
+    for curve, e in w.factors:
+        m = m.twist(curve, e)
+    return m if w.base is None else m @ w.base
 
 
 def curve_name(curve: CurveClass) -> str:
@@ -268,10 +282,11 @@ class EquivariantShape:
 
 
 class _Images(dict):
-    """curve -> its image under `base`, computed on the first lookup."""
+    """curve -> its image under `base`, computed on the first lookup;
+    for `CST` it starts from `CST_IMAGES`."""
 
     def __init__(self, base: IntMatrix):
-        super().__init__()
+        super().__init__(CST_IMAGES if base == CST else ())
         self.base = base
 
     def __missing__(self, c: CurveClass) -> CurveClass:

@@ -54,6 +54,11 @@ GOLDEN = [
      "062f01a1c08b054726f2f404597380dee4c045d3049c9f132ed3b6c01963e5d1"),
     ("lens --p 10000 --q 1 --variant C'",
      "620b8b343fd9f4484e406cf82489059ba2ede35d4a48537ddf1bfc907f48cc6c"),
+    # words of about 1,000 factors; the C word is rewritten by the fix rule
+    ("lens --p 998 --q 997 --variant C",
+     "5065554d8e8a5fd973fe98184a9ce8b87589c52e175271c8a6c801df13f4db64"),
+    ("lens --p 998 --q 997 --variant C'",
+     "d61267e148bf8f31ee9c88f2db8e1d2a16f5d61d2bef92faca554a0f73c0eb08"),
 ]
 
 
@@ -62,6 +67,15 @@ def test_stdout_digest(capsys, command, digest):
     assert main(command.split()) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_verify_word_over_cst_digest(capsys):
+    # a genus-1 word over the standard base: the product with the base is
+    # part of the printed matrix.  The word holds spaces, so argv is a list.
+    assert main(["verify", "--word", "b^3 (a+b)^-2 a^5 | cst"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "a5caf4bf56c440986cdc6dafbc82f101c3073e4de6de3c92d0e14871b7a0eec2")
 
 
 # factor-palindrome at genus 2 and 3 over an involution read from a file:

@@ -14,8 +14,12 @@ For unit surgeries (curve (m, n), sign c) in that order, the linking
 matrix has L_ii = c + m*n, the surface framing gap added to c, and
 L_ij = n_lo * m_hi for the lower knot lo and the higher knot hi.  The
 surgered manifold has |H_1| = |det L|, so a diagram of L(p, q) needs
-|det L| = p.
+|det L| = p.  Its linking form is L^-1 mod 1; on the meridian of knot k
+it is minor_k / det L, for the principal minor that deletes knot k, and
+for L(p, q) it lies in the class of -q/p up to unit squares mod p.
 """
+
+from math import gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -69,6 +73,29 @@ def test_linking_determinant_is_p_on_every_small_build():
             d = abs(linking_det(build(p, q, variant).diagram))
             if d != p:
                 failures.append((p, q, variant.value, d))
+            builds += 1
+    assert builds == 230
+    assert not failures, failures[:10]
+
+
+def test_linking_form_class_is_minus_q_over_p_on_every_small_build():
+    # lambda(mu_k, mu_k) = minor_k / det L with det L = sign * p, for the
+    # first knot k whose minor is prime to p, so lambda = -q u^2 / p mod 1
+    # means sign * minor_k = -q u^2 mod p for a unit u
+    builds, failures = 0, []
+    for p, q in admissible_pairs(40):
+        squares = {u * u % p for u in range(1, p) if gcd(u, p) == 1}
+        for variant in (Variant.C, Variant.C_PRIME):
+            rows = linking_matrix(unit_surgeries(build(p, q, variant).diagram))
+            d = det_rows(rows)
+            minors = (
+                det_rows([row[:k] + row[k + 1:] for i, row in enumerate(rows) if i != k])
+                for k in range(len(rows))
+            )
+            minor = next((m for m in minors if gcd(m, p) == 1), None)
+            if abs(d) != p or minor is None or (
+                    -(d // p) * minor * q) % p not in squares:
+                failures.append((p, q, variant.value, d, minor))
             builds += 1
     assert builds == 230
     assert not failures, failures[:10]

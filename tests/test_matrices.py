@@ -15,7 +15,7 @@ from eqsurg.matrices import (
     is_involution,
     transvection,
 )
-from eqsurg.words import CST, TwistWord, eval_word
+from eqsurg.words import CST, MAT_A, TwistWord, WordError, _check_real_structure, eval_word
 
 from conftest import (
     det,
@@ -209,9 +209,35 @@ def test_random_anti_symplectic_properties(seed):
     assert det(s) == (-1) ** g
 
 
+def _accepted_as_base(a: IntMatrix) -> bool:
+    """Whether the words layer takes `a` as a real structure (det and trace at genus 1)."""
+    try:
+        _check_real_structure(a, a.genus)
+    except WordError:
+        return False
+    return True
+
+
 def _assert_checks_match_formulas(a: IntMatrix) -> None:
     # the checks against their matrix formulas, by the reference product
-    assert (is_involution(a), is_anti_symplectic(a)) == real_structure_reference(a)
+    reference = real_structure_reference(a)
+    assert (is_involution(a), is_anti_symplectic(a)) == reference
+    assert _accepted_as_base(a) == all(reference)
+
+
+@pytest.mark.parametrize("rows, accepted", [
+    ([[1, 0], [0, 1]], False),  # an involution with det +1
+    ([[-1, 0], [0, -1]], False),  # an involution with det +1
+    (MAT_A.rows, False),  # trace 0, det +1: A^2 = -I
+    ([[2, 1], [1, 0]], False),  # det -1, trace 2: anti-symplectic, not an involution
+    ([[1, 1], [0, -1]], True),  # det -1, trace 0: a real structure
+])
+def test_genus1_real_structure_by_det_and_trace(rows, accepted):
+    # MAT_A meets only tr = 0 and [[2, 1], [1, 0]] only det = -1, so a
+    # check that drops either condition accepts one of them
+    a = IntMatrix.from_rows(rows)
+    _assert_checks_match_formulas(a)
+    assert _accepted_as_base(a) is accepted
 
 
 @given(
@@ -324,16 +350,33 @@ genus1_curves = (
 big_exponents = st.integers(-10**6, 10**6).filter(lambda k: k != 0)
 
 
+def _genus1_real_structures(a: int) -> st.SearchStrategy:
+    """Genus-1 real structures [[a, b], [c, -a]], a^2 + bc = 1 (det -1,
+    trace 0), with a nonzero off-diagonal entry of size at most 60."""
+    n = 1 - a * a
+
+    def real_structure(b: int, transposed: bool) -> IntMatrix:
+        rows = [[a, b], [n // b, -a]]
+        return IntMatrix.from_rows(zip(*rows) if transposed else rows)
+
+    divisors = [b for b in range(-60, 61) if b and n % b == 0]
+    return st.builds(real_structure, st.sampled_from(divisors), st.booleans())
+
+
 @given(
     st.lists(st.tuples(genus1_curves, big_exponents), max_size=60),
-    st.sampled_from([None, CST]),
+    st.none() | st.just(CST) | st.integers(-8, 8).flatmap(_genus1_real_structures),
 )
-@settings(max_examples=100, deadline=None)
+@example([(CurveClass.of(1, 2), 3)], IntMatrix.from_rows([[1, 5], [0, -1]]))
+@example([(CurveClass.of(2, -1), -2)], IntMatrix.from_rows([[2, -3], [1, -2]]))
+@settings(max_examples=150, deadline=None)
 def test_genus1_eval_matches_generic_twist(factors, base):
-    # eval_word works on four integers at genus 1; IntMatrix.twist is the reference
+    # eval_word works on four integers at genus 1 and folds the base into
+    # them; IntMatrix.twist and the reference product are the reference
     expected = IntMatrix.identity(2)
     for curve, k in factors:
         expected = expected.twist(curve, k)
     if base is not None:
-        expected = expected @ base
+        assert real_structure_reference(base) == (True, True)
+        expected = matmul_reference(expected, base)
     assert eval_word(TwistWord.of(factors, base=base)) == expected
