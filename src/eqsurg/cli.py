@@ -12,10 +12,11 @@ import argparse
 import json
 import os
 import sys
-from itertools import accumulate, groupby
+from itertools import accumulate
 from json.encoder import encode_basestring_ascii
 from typing import Optional
 
+from .contact import RunList
 from .contfrac import BadInput, Flavor, runs
 from .lens import (
     InadmissiblePair,
@@ -97,12 +98,11 @@ def _encode(obj, indent: str, out: list) -> None:
     document is not copied again at each level.  A dict value whose type
     is exactly str or int shares its key's chunk, and a list of exact
     ints is one chunk (its first item is tested before the list is
-    scanned, so a list of documents is not).  A run of k consecutive
-    references to one object in a list is encoded once, as text t, and
-    emitted as the two chunks (t + sep) * (k - 1) and t: one string
-    repeat in C.  The renderers print the copies of a middle run as one
-    shared document, which the stdlib's indented (pure-Python) encoder
-    would encode again for every copy.
+    scanned, so a list of documents is not).  A `RunList` is encoded run
+    by run: run (item, k) is encoded once, as text t, and emitted as the
+    chunks (t + sep) * (k - 1), one string repeat in C, and t, where the
+    stdlib's indented (pure-Python) encoder encodes every copy.  Any
+    other list is encoded item by item.
     """
     if isinstance(obj, str):
         out.append(encode_basestring_ascii(obj))
@@ -124,20 +124,16 @@ def _encode(obj, indent: str, out: list) -> None:
             out.append("[\n" + inner + sep.join(map(int.__repr__, obj)) + "\n" + indent + "]")
             return
         out.append("[\n" + inner)
-        i, n = 0, len(obj)
-        while i < n:
-            item, j = obj[i], i + 1
-            while j < n and obj[j] is item:
-                j += 1
-            if j == i + 1:
-                _encode(item, inner, out)
-            else:
+        if type(obj) is RunList:
+            for item, k in obj.runs:
                 chunks: list = []
                 _encode(item, inner, chunks)
                 text = "".join(chunks)
-                out += ((text + sep) * (j - i - 1), text)
-            out.append(sep)
-            i = j
+                out += ((text + sep) * (k - 1), text, sep)
+        else:
+            for item in obj:
+                _encode(item, inner, out)
+                out.append(sep)
         out[-1] = "\n" + indent + "]"
     elif isinstance(obj, dict):
         if not obj:
@@ -192,29 +188,23 @@ def _emit(doc: dict, fmt: str, text_renderer=None) -> None:
     sys.stdout.writelines(out)
 
 
-def _runs(docs: list) -> list:
-    """Each run of consecutive references to one document in `docs`, as
-    (document, length)."""
-    return [(run[0], len(run)) for run in (list(g) for _, g in groupby(docs, id))]
-
-
 def _knot_lines(doc: dict) -> list[str]:
     """The text lines of a lens build's knots, from `doc["diagram"]` and
     `doc["contact"]`.
 
     The surgery knots come first, sorted by level (the sort is stable, so
     a level keeps document order), then the contact knots in document
-    order.  A run of references to one shared knot document is formatted
-    once and repeated.
+    order.  Both knot lists are `RunList`s: each run's document is
+    formatted once and its line repeated.
     """
     diagram, contact = doc["diagram"], doc["contact"]
     lines = [f"ambient: {diagram['ambient']}"]
-    for k, n in sorted(_runs(diagram["knots"]), key=lambda run: run[0]["level"]):
+    for k, n in sorted(diagram["knots"].runs, key=lambda run: run[0]["level"]):
         lines += [
             f"  level {k['level']:+d}: {curve_name(CurveClass(tuple(k['curve'])))} "
             f"coeff {k['coeff']} role {k['role']} type {k['type']}"
         ] * n
-    for k, n in _runs(contact["knots"]):
+    for k, n in contact["knots"].runs:
         c = k["contact"]
         lines += [
             f"  contact level {k['level']:+d}: tw {c['tw']} tb {c['tb']} "
@@ -305,6 +295,8 @@ def cmd_census(args) -> int:
 def cmd_catalog(args) -> int:
     _json_only(args)
     if args.name != "typeA":  # s1xs2 or rp3, a one-entry catalog
+        if args.p is not None or args.q is not None:
+            raise UsageError(f"catalog {args.name} takes no --p or --q")
         entries = catalog_s1xs2() if args.name == "s1xs2" else [catalog_rp3()]
         docs = [e.to_json_dict() for e in entries]
         _emit({"catalog": args.name, "entries": docs}, "json")
@@ -341,6 +333,8 @@ def _parse_matrix(text: str, what: str) -> IntMatrix:
 def cmd_verify(args) -> int:
     _check_genus(args.genus)
     if args.relations:
+        if args.word is not None or args.expect is not None:
+            raise UsageError("verify --relations takes no --word or --expect")
         if args.max_exp < 1:
             raise UsageError("--max-exp must be at least 1")
         if args.max_exp > MAX_EXP:

@@ -21,6 +21,19 @@ class ContactError(ValueError):
     pass
 
 
+class RunList(list):
+    """The list of k references to the item of each run (item, k) in
+    `runs`, k >= 1, which keeps `runs` so that a renderer handles a run
+    once.  It is not mutated after it is built."""
+
+    __slots__ = ("runs",)
+
+    def __init__(self, runs: list):
+        self.runs = runs
+        for item, k in runs:
+            self += [item] * k
+
+
 @dataclass(frozen=True)
 class Slope:
     """Boundary slope num/den, normalized to den >= 0; 1/0 is infinity."""
@@ -153,13 +166,10 @@ class ContactDiagram:
         # pair knots are always legal
         return all(d.legal for d in self.knot_data)
 
-    def flags(self) -> list[str]:
-        """The reason of every illegal knot, once per copy."""
-        out = []
-        for knot, d in zip(self.base.knots, self.knot_data):
-            if isinstance(d.glue_back, Illegal):
-                out += [d.glue_back.reason.value] * knot.count
-        return out
+    def flags(self) -> RunList:
+        """The reason of every illegal knot, as a run of `count` copies."""
+        return RunList([(d.glue_back.reason.value, knot.count) for knot, d in
+                        zip(self.base.knots, self.knot_data) if not d.legal])
 
     def entries(self) -> list[tuple[SurgeryKnot, ContactKnotData]]:
         """Every knot with its contact data in document order: the pair knots,
@@ -169,17 +179,17 @@ class ContactDiagram:
 
     def to_json_dicts(self) -> tuple[dict, dict]:
         """The JSON documents of the surgery diagram (`base`) and of this
-        diagram, from one pass over `entries()`.  In each knot list the
-        copies of a knot share one document."""
+        diagram, from one pass over `entries()`.  Each knot list is a
+        RunList with one run (document, `count`) per knot."""
         knots, contact_knots = [], []
         for knot, data in self.entries():
             doc = knot.to_json_dict()
-            knots += [doc] * knot.count
-            contact_knots += [{**doc, "contact": data.to_json_dict()}] * knot.count
-        diagram = {"ambient": "S3_cst", "knots": knots, "notes": []}
+            knots.append((doc, knot.count))
+            contact_knots.append(({**doc, "contact": data.to_json_dict()}, knot.count))
+        diagram = {"ambient": "S3_cst", "knots": RunList(knots), "notes": []}
         contact = {
             "ambient": "S3_cst",
-            "knots": contact_knots,
+            "knots": RunList(contact_knots),
             "notes": [],
             "overall_legal": self.overall_legal,
             # tightness of a built diagram is never decided

@@ -162,9 +162,10 @@ class SurgeryDiagram:
     word; `pair_knots` reads outer[idx] and its partner mirror[-1 - idx]
     as pair i = len(outer) - idx.  Its JSON document, which
     `ContactDiagram.to_json_dicts` builds next to the contact one, lists
-    the pair knots, then one entry per copy of each invariant knot, and
-    the copies of a knot share one document.  The ambient manifold is
-    always the standard real S^3 and a diagram carries no notes.
+    the pair knots, then one entry per copy of each invariant knot, as a
+    `contact.RunList` with one run (document, `count`) per knot.  The
+    ambient manifold is always the standard real S^3 and a diagram
+    carries no notes.
     """
 
     knots: tuple[SurgeryKnot, ...]

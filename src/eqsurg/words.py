@@ -81,13 +81,12 @@ class TwistWord:
     genus: int = 1
 
     def __post_init__(self):
-        for _, e in self.factors:
-            if e == 0:
-                raise WordError("twist factor exponent must be nonzero")
         if self.genus < 1:
             raise WordError(f"genus must be at least 1, got {self.genus}")
         dim = 2 * self.genus
-        for c, _ in self.factors:
+        for c, e in self.factors:
+            if e == 0:
+                raise WordError("twist factor exponent must be nonzero")
             if len(c.coords) != dim:
                 raise WordError(f"curve {c.coords} does not match genus {self.genus}")
         if self.base is not None:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from eqsurg import cli
 from eqsurg.cli import _encode, main
+from eqsurg.contact import RunList
 
 
 def _dumps(obj) -> str:
@@ -420,6 +421,22 @@ def test_text_refused_before_the_work(capsys, monkeypatch, argv):
     assert run(capsys, *argv, "--format", "text") == (64, "", _NO_TEXT)
 
 
+@pytest.mark.parametrize("argv, err", [
+    (("catalog", "s1xs2", "--p", "3"), "catalog s1xs2 takes no --p or --q"),
+    (("catalog", "rp3", "--q", "2"), "catalog rp3 takes no --p or --q"),
+    (("verify", "--relations", "--word", "a"), "verify --relations takes no --word or --expect"),
+    (("verify", "--relations", "--expect", "[[1,0],[0,1]]"),
+     "verify --relations takes no --word or --expect"),
+], ids=["s1xs2-p", "rp3-q", "relations-word", "relations-expect"])
+def test_ignored_option_refused_before_the_work(capsys, monkeypatch, argv, err):
+    def fail(*args, **kwargs):
+        raise AssertionError("the command did its work before refusing the option")
+
+    for name in ("catalog_s1xs2", "catalog_rp3", "verify_relations", "parse_word"):
+        monkeypatch.setattr(cli, name, fail)
+    assert run(capsys, *argv) == (64, "", f"usage error: {err}\n")
+
+
 def test_main_does_not_build_a_parser(capsys, monkeypatch):
     def fail():
         raise AssertionError("build_parser called by main")
@@ -433,7 +450,8 @@ def test_main_does_not_build_a_parser(capsys, monkeypatch):
 # JSON trees of the kinds the renderers build, plus the edge cases of the
 # encoder: escapes, long ints, bools next to equal ints, tuples, empty and
 # nested containers, lists that start with None, and runs of one shared
-# object (a list of [x] * n copies).
+# object: a plain list of [x] * n copies, encoded item by item, and a
+# RunList, encoded run by run.
 _SCALARS = (
     st.none()
     | st.booleans()
@@ -451,6 +469,7 @@ def _containers(children):
         | st.lists(children, max_size=4).map(lambda items: [None, *items])
         | st.dictionaries(st.text(max_size=6), children, max_size=5)
         | runs.map(lambda rs: [item for item, n in rs for _ in range(n)])
+        | runs.map(RunList)
     )
 
 
@@ -462,6 +481,8 @@ def _containers(children):
 @example([1, True, 0, False])
 @example([True, False])
 @example([0, 0, 0, 1])  # a run of one cached small int inside an int list
+@example(RunList([({"k": ["x"]}, 3), (None, 1), ([], 2)]))
+@example(RunList([(RunList([("a", 2)]), 2), (RunList([]), 1)]))
 @example({"i": 1, "b": True, "s": "x", "n": None, "l": [2, 3]})
 def test_dumps_matches_json_dumps(tree):
     assert _dumps(tree) == json.dumps(tree, indent=2)

@@ -9,6 +9,7 @@ from eqsurg.contact import (
     ContactError,
     Illegal,
     IllegalReason,
+    RunList,
     Slope,
     _knot_data,
     contact_coefficient,
@@ -202,3 +203,25 @@ def test_legalize_key_separates_roles(runs):
     for knot, data in (primary, mirror):
         assert data == _knot_data(knot) != alone[0]
         assert (knot.curve, knot.coeff, data.legal) == (CURVE_APB, 1, True)
+
+
+@pytest.mark.parametrize("p", [7, 500])
+@pytest.mark.parametrize("variant", [Variant.C, Variant.C_PRIME])
+def test_knot_lists_and_flags_are_run_lists(p, variant):
+    # one run per knot (flags: per illegal knot) of length knot.count, whose
+    # list value is the copies in order; only C's middle run is illegal
+    contact = build(p, 1, variant).contact
+    diagram_doc, contact_doc = contact.to_json_dicts()
+    knots = [k for k, _ in contact.entries()]
+    illegal = [(k, d) for k, d in zip(contact.base.knots, contact.knot_data) if not d.legal]
+    flags = contact.flags()
+    assert bool(illegal) == (variant is Variant.C) and any(k.count > 1 for k in knots)
+    for docs, expect in [
+        (diagram_doc["knots"], [(k.to_json_dict(), k.count) for k in knots]),
+        (contact_doc["knots"], [({**k.to_json_dict(), "contact": d.to_json_dict()}, k.count)
+                                for k, d in contact.entries()]),
+        (flags, [(d.glue_back.reason.value, k.count) for k, d in illegal]),
+    ]:
+        assert type(docs) is RunList
+        assert docs.runs == expect
+        assert list(docs) == [item for item, n in expect for _ in range(n)]

@@ -48,6 +48,9 @@ GOLDEN = [
      "38f9794e564a41d7e953fa04ce0446512bdbe0920c4908f7915ede5e9189bb97"),
     ("lens --p 120 --q 71 --variant C' --format text",
      "ec04343a428ee0e7fbaceadfa7b241ed8cbbcd7fd11b2a02dffdaa8421cb4e49"),
+    # a text run of 999 copies and a flags list of 999 entries
+    ("lens --p 1000 --q 1 --format text",
+     "ee55922019b08449204a5ea68687759478adb45459c4a119a539c428e841c16b"),
     # the largest lens output allowed (--p at MAX_P): runs of about 10,000
     # copies of one shared knot document
     ("lens --p 10000 --q 1 --variant C",

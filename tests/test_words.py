@@ -105,6 +105,22 @@ def test_zero_exponent_rejected():
         tw((CURVE_A, 0))
 
 
+@pytest.mark.parametrize("factors, genus, text", [
+    (((CURVE_A, 1), (CURVE_B, 0)), 1, "twist factor exponent must be nonzero"),
+    (((CURVE_A, 1), (CurveClass.from_coords([1, 0, 0, 1]), 1)), 1,
+     r"curve \(1, 0, 0, 1\) does not match genus 1"),
+    (((CURVE_A, 0),), 0, "genus must be at least 1, got 0"),
+    # with two defects, the first one in factor order is reported
+    (((CURVE_A, 0), (CurveClass.from_coords([1, 0, 0, 1]), 1)), 1,
+     "twist factor exponent must be nonzero"),
+    (((CurveClass.from_coords([1, 0, 0, 1]), 1), (CURVE_A, 0)), 1,
+     r"curve \(1, 0, 0, 1\) does not match genus 1"),
+], ids=["zero-exponent", "wrong-length", "genus-0", "zero-first", "length-first"])
+def test_word_defect_messages(factors, genus, text):
+    with pytest.raises(WordError, match=f"^{text}$"):
+        TwistWord(factors, genus=genus)
+
+
 def test_parse_format_roundtrip():
     text = "b^2 a^2 b^2 a^2 | cst"
     assert format_word(parse_word(text)) == text
