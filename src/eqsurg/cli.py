@@ -331,15 +331,19 @@ def _parse_matrix(text: str, what: str) -> IntMatrix:
 
 
 def cmd_verify(args) -> int:
-    _check_genus(args.genus)
+    # --genus and --max-exp default to None, so that an option the branch
+    # would ignore is refused even when it is given its default value
     if args.relations:
         if args.word is not None or args.expect is not None:
             raise UsageError("verify --relations takes no --word or --expect")
-        if args.max_exp < 1:
+        if args.genus is not None:
+            raise UsageError("verify --relations takes no --genus")
+        max_exp = 10 if args.max_exp is None else args.max_exp
+        if max_exp < 1:
             raise UsageError("--max-exp must be at least 1")
-        if args.max_exp > MAX_EXP:
-            raise UsageError(f"--max-exp must be at most {MAX_EXP}, got {args.max_exp}")
-        report = verify_relations(args.max_exp)
+        if max_exp > MAX_EXP:
+            raise UsageError(f"--max-exp must be at most {MAX_EXP}, got {max_exp}")
+        report = verify_relations(max_exp)
         ok = all(r["ok"] for r in report)
         doc = {"relations": report, "all_ok": ok}
 
@@ -352,11 +356,15 @@ def cmd_verify(args) -> int:
 
         _emit(doc, args.format, text)
         return EXIT_OK if ok else EXIT_VERIFY
+    genus = 1 if args.genus is None else args.genus
+    _check_genus(genus)
     if args.word is None:
         raise UsageError("verify needs --word or --relations")
+    if args.max_exp is not None:
+        raise UsageError("verify --word takes no --max-exp")
     _json_only(args)
     try:
-        word = parse_word(args.word, genus=args.genus)
+        word = parse_word(args.word, genus=genus)
     except WordError as exc:
         raise UsageError(f"cannot parse word: {exc}") from None
     value = eval_word(word)
@@ -437,9 +445,9 @@ def build_parser() -> _Parser:
     p_verify = sub.add_parser("verify", help="evaluate a word or run the relation suite")
     p_verify.add_argument("--word")
     p_verify.add_argument("--expect")
-    p_verify.add_argument("--genus", type=int, default=1)
+    p_verify.add_argument("--genus", type=int)  # default 1, with --word only
     p_verify.add_argument("--relations", action="store_true")
-    p_verify.add_argument("--max-exp", type=int, default=10)
+    p_verify.add_argument("--max-exp", type=int)  # default 10, with --relations only
     add_format(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 

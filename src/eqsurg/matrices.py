@@ -7,7 +7,7 @@ anywhere.  Each inner product runs as `sum(map(mul, ...))` over Python
 ints, so the per-entry loop is C iteration, not bytecode.  The
 real-structure checks build no product matrix: an involution is checked
 row by row against the identity, an anti-symplectic map by the pairings
-of its columns.  `words` decides a genus-1 real structure by det and trace.
+of its columns.
 """
 
 from __future__ import annotations

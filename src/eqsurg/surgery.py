@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .matrices import CurveClass
-from .words import CST, EquivariantShape, curve_name
+from .words import EquivariantShape, curve_name
 
 
 class TorusType(enum.Enum):
@@ -194,8 +194,6 @@ def word_to_diagram(shape: EquivariantShape) -> SurgeryDiagram:
     coefficient sign(m) and count |m|.  Knot types of invariant curves
     come from the built-in genus-1 table for the standard involution.
     """
-    if shape.base != CST:
-        raise SurgeryError("diagram emission currently supports the standard base only")
     knots = []
     for curve, exp in shape.middle:
         unit = 1 if exp > 0 else -1

@@ -1,16 +1,17 @@
 """Dehn-twist words and their homology-level verification.
 
 A word is an ordered tuple of twist factors (curve, exponent), leftmost
-factor written first, optionally followed by a base involution.  Words evaluate to
-matrix products with the rightmost factor applied first, so the written
-word g_k ... g_1 evaluates to M(g_k) @ ... @ M(g_1).
+factor written first, optionally followed by `CST`, the standard real
+structure of S^3 and the only base.  Words evaluate to matrix products with
+the rightmost factor applied first, so the written word g_k ... g_1
+evaluates to M(g_k) @ ... @ M(g_1).
 
 All genus >= 2 verdicts here are homology-level: curve equality means
 equality of primitive classes up to sign.
 
-At genus 1 a real structure is decided by det and trace alone, a base is
-folded into `eval_word`'s four integer locals, and `CST_IMAGES` holds the
-standard base's image of each named curve, computed once at import.
+At genus 1 `eval_word` multiplies by `CST` as a column swap of its four
+integer locals, and `CST_IMAGES` holds the image under `CST` of each
+named curve, computed once at import.
 """
 
 from __future__ import annotations
@@ -55,26 +56,17 @@ class ShapeError(ValueError):
     pass
 
 
-def _check_real_structure(s: IntMatrix, genus: int, name: str = "s") -> None:
-    """Raise WordError unless `s` is an anti-symplectic involution at `genus`.
-
-    At genus 1, <Mx, My> = det(M) <x, y>, so M reverses the form iff det M = -1;
-    then M^2 = tr(M) M + I (Cayley-Hamilton), so M^2 = I iff tr M = 0.
-    """
+def _check_real_structure(s: IntMatrix, genus: int) -> None:
+    """Raise WordError unless `s` is an anti-symplectic involution at `genus`."""
     if s.genus != genus:
-        raise WordError(f"{name} acts at genus {s.genus} but the word lies at genus {genus}")
-    if genus == 1:
-        (a, b), (c, d) = s.rows
-        ok = a * d - b * c == -1 and a + d == 0
-    else:
-        ok = is_involution(s) and is_anti_symplectic(s)
-    if not ok:
-        raise WordError(f"{name} must be an anti-symplectic involution")
+        raise WordError(f"s acts at genus {s.genus} but the word lies at genus {genus}")
+    if not (is_involution(s) and is_anti_symplectic(s)):
+        raise WordError("s must be an anti-symplectic involution")
 
 
 @dataclass(frozen=True)
 class TwistWord:
-    """Twist factors (curve, exponent), leftmost first, and an optional base."""
+    """Twist factors (curve, exponent), leftmost first, and `CST` or no base."""
 
     factors: tuple[tuple[CurveClass, int], ...]
     base: Optional[IntMatrix] = None
@@ -90,7 +82,10 @@ class TwistWord:
             if len(c.coords) != dim:
                 raise WordError(f"curve {c.coords} does not match genus {self.genus}")
         if self.base is not None:
-            _check_real_structure(self.base, self.genus, "base")
+            if self.base != CST:
+                raise WordError("base must be the standard real structure cst")
+            if self.genus != 1:
+                raise WordError(f"base acts at genus 1 but the word lies at genus {self.genus}")
 
     @staticmethod
     def of(factors: Sequence[tuple[CurveClass, int]],
@@ -118,14 +113,13 @@ def eval_word(w: TwistWord) -> IntMatrix:
                 s = e * (a * x + b * y)
                 t = e * (c * x + d * y)
                 a, b, c, d = a - s * y, b + s * x, c - t * y, d + t * x
-        if w.base is not None:  # the product with the base, in the same locals
-            (p, q), (r, s) = w.base.rows
-            a, b, c, d = a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s
+        if w.base is not None:  # the product with CST swaps the columns
+            a, b, c, d = b, a, d, c
         return IntMatrix(((a, b), (c, d)))
-    m = IntMatrix.identity(2 * w.genus)
+    m = IntMatrix.identity(2 * w.genus)  # no word carries a base at genus >= 2
     for curve, e in w.factors:
         m = m.twist(curve, e)
-    return m if w.base is None else m @ w.base
+    return m
 
 
 def curve_name(curve: CurveClass) -> str:
@@ -143,7 +137,7 @@ def format_word(w: TwistWord) -> str:
         parts.append(f"{name}^{e}")
     text = " ".join(parts) if parts else "1"
     if w.base is not None:
-        text += " | cst" if w.base == CST else " | base"
+        text += " | cst"
     return text
 
 
@@ -153,27 +147,21 @@ _FACTOR_RE = re.compile(
 )
 
 
-def parse_word(text: str, genus: int = 1,
-               base_matrix: Optional[IntMatrix] = None) -> TwistWord:
+def parse_word(text: str, genus: int = 1) -> TwistWord:
     """Parse word syntax like `a^2 b^-1 (a+b)^1 | cst`.
 
     Curves are named a, b, a+b, a-b at genus 1, or given as vectors
     `v[1,0,2,-1]` at any genus.  `| cst` appends the standard genus-1
-    base involution; `| base` uses base_matrix.
+    base involution.
     """
     text = text.strip()
     base = None
     if "|" in text:
         word_part, base_part = text.split("|", 1)
         base_part = base_part.strip()
-        if base_part == "cst":
-            base = CST
-        elif base_part == "base":
-            if base_matrix is None:
-                raise WordError("word references `base` but no base matrix was given")
-            base = base_matrix
-        else:
+        if base_part != "cst":
             raise WordError(f"unknown base name {base_part!r}")
+        base = CST
     else:
         word_part = text
     factors = []
@@ -271,25 +259,20 @@ class EquivariantShape:
     All three are slices of the word's factors.  A middle factor (curve, m)
     stands for a run of |m| parallel twists of sign m along the curve.
     `mirror[-1 - i]` pairs with `outer[i]`: the same exponent on the image
-    of outer[i]'s curve under the base involution.
+    of outer[i]'s curve under `CST`.
     """
 
     outer: tuple[tuple[CurveClass, int], ...]
     middle: tuple[tuple[CurveClass, int], ...]
     mirror: tuple[tuple[CurveClass, int], ...]
-    base: IntMatrix
 
 
 class _Images(dict):
-    """curve -> its image under `base`, computed on the first lookup;
-    for `CST` it starts from `CST_IMAGES`."""
-
-    def __init__(self, base: IntMatrix):
-        super().__init__(CST_IMAGES if base == CST else ())
-        self.base = base
+    """curve -> its image under `CST`; built from `CST_IMAGES`, any other
+    curve's image is computed on its first lookup."""
 
     def __missing__(self, c: CurveClass) -> CurveClass:
-        self[c] = image = c.image_under(self.base)
+        self[c] = image = c.image_under(CST)
         return image
 
 
@@ -309,7 +292,7 @@ def validate_equivariant_shape(w: TwistWord) -> EquivariantShape:
     form = SymplecticForm(w.genus)
     fs = w.factors
     n = len(fs)
-    image = _Images(w.base)
+    image = _Images(CST_IMAGES)
 
     t_max = 0
     for (c, e), (mirror_c, mirror_e) in zip(fs[:n // 2], reversed(fs)):
@@ -332,7 +315,7 @@ def validate_equivariant_shape(w: TwistWord) -> EquivariantShape:
                     f"middle curves {curve_name(ci)} and {curve_name(cj)} "
                     "are not disjoint"
                 )
-    return EquivariantShape(fs[:t_max], mid, fs[n - t_max:], w.base)
+    return EquivariantShape(fs[:t_max], mid, fs[n - t_max:])
 
 
 # ---------------------------------------------------------------------------

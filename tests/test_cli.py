@@ -3,6 +3,8 @@ import hashlib
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -427,7 +429,13 @@ def test_text_refused_before_the_work(capsys, monkeypatch, argv):
     (("verify", "--relations", "--word", "a"), "verify --relations takes no --word or --expect"),
     (("verify", "--relations", "--expect", "[[1,0],[0,1]]"),
      "verify --relations takes no --word or --expect"),
-], ids=["s1xs2-p", "rp3-q", "relations-word", "relations-expect"])
+    (("verify", "--relations", "--genus", "7", "--max-exp", "1"),
+     "verify --relations takes no --genus"),
+    (("verify", "--relations", "--genus", "1"), "verify --relations takes no --genus"),
+    (("verify", "--word", "a^1", "--max-exp", "5"), "verify --word takes no --max-exp"),
+    (("verify", "--word", "a^1", "--max-exp", "10"), "verify --word takes no --max-exp"),
+], ids=["s1xs2-p", "rp3-q", "relations-word", "relations-expect", "relations-genus",
+        "relations-genus-1", "word-max-exp", "word-max-exp-10"])
 def test_ignored_option_refused_before_the_work(capsys, monkeypatch, argv, err):
     def fail(*args, **kwargs):
         raise AssertionError("the command did its work before refusing the option")
@@ -435,6 +443,32 @@ def test_ignored_option_refused_before_the_work(capsys, monkeypatch, argv, err):
     for name in ("catalog_s1xs2", "catalog_rp3", "verify_relations", "parse_word"):
         monkeypatch.setattr(cli, name, fail)
     assert run(capsys, *argv) == (64, "", f"usage error: {err}\n")
+
+
+def test_word_with_other_base_name_is_usage_error(capsys):
+    assert run(capsys, "verify", "--word", "a | base") == (
+        64, "", "usage error: cannot parse word: unknown base name 'base'\n"
+    )
+
+
+_README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "README.md")
+
+
+def _readme_cli_lines():
+    with open(_README, encoding="utf-8") as fh:
+        text = fh.read()
+    block = re.search(r"^## CLI\n\n```sh\n(.*?)^```", text, re.M | re.S)
+    assert block, "README.md has no ```sh block under ## CLI"
+    return block.group(1).splitlines()
+
+
+@pytest.mark.parametrize("line", _readme_cli_lines())
+def test_readme_cli_example_exits_0(capsys, line):
+    argv = shlex.split(line)
+    assert argv[0] == "eqsurg"
+    assert main(argv[1:]) == 0
+    capsys.readouterr()
 
 
 def test_main_does_not_build_a_parser(capsys, monkeypatch):

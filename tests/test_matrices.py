@@ -210,7 +210,8 @@ def test_random_anti_symplectic_properties(seed):
 
 
 def _accepted_as_base(a: IntMatrix) -> bool:
-    """Whether the words layer takes `a` as a real structure (det and trace at genus 1)."""
+    """Whether the words layer takes `a` as a real structure (the check that
+    `validate_recursive_invariance` and `factor_palindrome` run, at every genus)."""
     try:
         _check_real_structure(a, a.genus)
     except WordError:
@@ -330,11 +331,14 @@ def test_twist_matches_reference_product(seed, k):
     factors = [
         (random_curve(g, rng), rng.choice(nonzero)) for _ in range(rng.randint(0, 5))
     ]
-    base = random_anti_symplectic(g, rng)
+    # a word carries the base CST at genus 1 and no base above it
+    base = CST if g == 1 else None
     expected = IntMatrix.identity(2 * g)
     for curve, e in factors:
         expected = expected @ _twist_reference(curve, e)
-    assert eval_word(TwistWord.of(factors, base=base, genus=g)) == expected @ base
+    if base is not None:
+        expected = expected @ base
+    assert eval_word(TwistWord.of(factors, base=base, genus=g)) == expected
 
 
 def test_twist_rejects_genus_mismatch():
@@ -363,16 +367,27 @@ def _genus1_real_structures(a: int) -> st.SearchStrategy:
     return st.builds(real_structure, st.sampled_from(divisors), st.booleans())
 
 
+@given(st.integers(-8, 8).flatmap(_genus1_real_structures))
+@example(IntMatrix.from_rows([[1, 5], [0, -1]]))
+@example(IntMatrix.from_rows([[2, -3], [1, -2]]))
+@settings(max_examples=100, deadline=None)
+def test_genus1_real_structures_pass_the_general_check(s):
+    # the one real-structure check, with no genus-1 branch, on the
+    # generated genus-1 real structures
+    _assert_checks_match_formulas(s)
+    assert _accepted_as_base(s)
+
+
 @given(
     st.lists(st.tuples(genus1_curves, big_exponents), max_size=60),
-    st.none() | st.just(CST) | st.integers(-8, 8).flatmap(_genus1_real_structures),
+    st.none() | st.just(CST),
 )
-@example([(CurveClass.of(1, 2), 3)], IntMatrix.from_rows([[1, 5], [0, -1]]))
-@example([(CurveClass.of(2, -1), -2)], IntMatrix.from_rows([[2, -3], [1, -2]]))
+@example([(CurveClass.of(1, 2), 3)], CST)
+@example([(CurveClass.of(2, -1), -2)], None)
 @settings(max_examples=150, deadline=None)
 def test_genus1_eval_matches_generic_twist(factors, base):
-    # eval_word works on four integers at genus 1 and folds the base into
-    # them; IntMatrix.twist and the reference product are the reference
+    # eval_word works on four integers at genus 1 and multiplies by CST as
+    # a column swap; IntMatrix.twist and the reference product are the reference
     expected = IntMatrix.identity(2)
     for curve, k in factors:
         expected = expected.twist(curve, k)

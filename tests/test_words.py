@@ -100,6 +100,25 @@ def test_base_must_be_anti_symplectic_involution():
         TwistWord.of([(CURVE_A, 1)], base=IntMatrix.from_rows([[1, 1], [0, 1]]))
 
 
+def test_base_other_than_cst_rejected():
+    # [[1, 1], [0, -1]] is a genus-1 real structure, but not the standard one
+    with pytest.raises(WordError, match="^base must be the standard real structure cst$"):
+        TwistWord.of([(CURVE_APB, 1)], base=IntMatrix.from_rows([[1, 1], [0, -1]]))
+
+
+def test_base_equal_to_cst_accepted():
+    # compared by value: a swap matrix built apart from CST is CST
+    swap = IntMatrix.from_rows([[0, 1], [1, 0]])
+    w = TwistWord.of([(CURVE_APB, 1)], base=swap)
+    assert w == TwistWord.of([(CURVE_APB, 1)], base=CST)
+    assert format_word(w) == "(a+b)^1 | cst"
+
+
+def test_cst_at_higher_genus_rejected():
+    with pytest.raises(WordError, match="^base acts at genus 1 but the word lies at genus 2$"):
+        parse_word("v[1,0,1,0] | cst", genus=2)
+
+
 def test_zero_exponent_rejected():
     with pytest.raises(WordError):
         tw((CURVE_A, 0))
@@ -139,10 +158,9 @@ def test_parse_format_roundtrip_random(data):
             max_size=6,
         )
     )
-    other = random_anti_symplectic(genus, random.Random(data.draw(st.integers(0, 10**6))))
-    base = data.draw(st.sampled_from([None, other] + ([CST] if genus == 1 else [])))
+    base = data.draw(st.sampled_from([None] + ([CST] if genus == 1 else [])))
     w = TwistWord.of(factors, base=base, genus=genus)
-    assert parse_word(format_word(w), genus=genus, base_matrix=other) == w
+    assert parse_word(format_word(w), genus=genus) == w
 
 
 def test_parse_vector_curves():
@@ -157,6 +175,8 @@ def test_parse_rejects_garbage():
         parse_word("q^2")
     with pytest.raises(WordError):
         parse_word("a | nonsense")
+    with pytest.raises(WordError, match="^unknown base name 'base'$"):
+        parse_word("a | base")
 
 
 def test_relation_suite_all_pass():
@@ -301,31 +321,27 @@ _G1_FACTOR = st.tuples(
 )
 
 
-# Bases with their two invariant curves.  The images under CST start from
-# the import-time table; those under the other base are computed on lookup.
-_SHAPE_BASES = [
-    (CST, (CURVE_APB, CURVE_AMB)),
-    (IntMatrix.from_rows([[1, 1], [0, -1]]), (CURVE_A, CurveClass.of(1, -2))),
-]
+# The two curves invariant under CST.  Images of a, b, a+b and a-b come
+# from the import-time table; those of (1, 2) and (2, -1) are computed on
+# lookup.
+_INVARIANTS = (CURVE_APB, CURVE_AMB)
 
 
 @settings(max_examples=300, deadline=None)
 @given(
-    st.sampled_from(_SHAPE_BASES),
     st.lists(_G1_FACTOR, max_size=4),
     st.lists(st.tuples(st.sampled_from([0, 1]), st.integers(-3, 3).filter(bool)),
              max_size=3),
     st.data(),
 )
-def test_shape_single_split_matches_every_split(base_and_invariants, outer, middle, data):
+def test_shape_single_split_matches_every_split(outer, middle, data):
     """Trying only the longest mirrored outer part gives the same shape, or
     the same error text, as trying every shorter one too."""
-    base, invariants = base_and_invariants
-    factors = (outer + [(invariants[i], m) for i, m in middle]
-               + [(c.image_under(base), e) for c, e in reversed(outer)])
+    factors = (outer + [(_INVARIANTS[i], m) for i, m in middle]
+               + [(c.image_under(CST), e) for c, e in reversed(outer)])
     if factors and data.draw(st.booleans(), label="perturb"):
         factors[data.draw(st.integers(0, len(factors) - 1))] = data.draw(_G1_FACTOR)
-    w = TwistWord.of(factors, base=base)
+    w = TwistWord.of(factors, base=CST)
     expected = _shape_every_split(w)
     try:
         shape = validate_equivariant_shape(w)
@@ -468,9 +484,9 @@ def test_recursive_invariance_rejects_genus_mismatch():
     ids=["involution-not-anti-symplectic", "anti-symplectic-not-involution", "genus-mismatch"],
 )
 def test_real_structure_checked_alike(s, text):
-    # a word's base, the recursive-invariance structure and the palindrome
-    # structure go through one check with one set of error texts
-    with pytest.raises(WordError, match=f"^base{text[1:]}$"):
+    # the recursive-invariance structure and the palindrome structure go
+    # through one check with one set of error texts; a word takes CST alone
+    with pytest.raises(WordError, match="^base must be the standard real structure cst$"):
         TwistWord.of([(CURVE_APB, 1)], base=s)
     with pytest.raises(WordError, match=f"^{text}$"):
         validate_recursive_invariance(tw((CURVE_APB, 1)), s)
