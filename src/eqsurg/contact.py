@@ -77,9 +77,6 @@ class IllegalReason(enum.Enum):
 class Illegal:
     reason: IllegalReason
 
-    def __str__(self) -> str:
-        return f"Illegal({self.reason.value})"
-
 
 def contact_glueback(k: TorusType, q: int, p_prime: int) -> Union[TorusType, Illegal]:
     """Real structure after an equivariant contact 1/q-surgery on a c_k-knot.
@@ -139,22 +136,6 @@ class ContactKnotData:
     def legal(self) -> bool:
         return not isinstance(self.glue_back, Illegal)
 
-    def to_json_dict(self) -> dict:
-        if self.glue_back is None:
-            gb = None
-        elif isinstance(self.glue_back, Illegal):
-            gb = str(self.glue_back)
-        else:
-            gb = self.glue_back.value
-        return {
-            "tw": self.tw_h,
-            "tb": self.tb,
-            "coeff": f"{self.contact_coeff:+d}",
-            "glue_back": gb,
-            "legal": self.legal,
-            "notes": [],
-        }
-
 
 @dataclass(frozen=True)
 class ContactDiagram:
@@ -176,26 +157,6 @@ class ContactDiagram:
         whose data is computed here, then the invariant knots."""
         pairs = [(k, _knot_data(k)) for k in self.base.pair_knots()]
         return pairs + list(zip(self.base.knots, self.knot_data))
-
-    def to_json_dicts(self) -> tuple[dict, dict]:
-        """The JSON documents of the surgery diagram (`base`) and of this
-        diagram, from one pass over `entries()`.  Each knot list is a
-        RunList with one run (document, `count`) per knot."""
-        knots, contact_knots = [], []
-        for knot, data in self.entries():
-            doc = knot.to_json_dict()
-            knots.append((doc, knot.count))
-            contact_knots.append(({**doc, "contact": data.to_json_dict()}, knot.count))
-        diagram = {"ambient": "S3_cst", "knots": RunList(knots), "notes": []}
-        contact = {
-            "ambient": "S3_cst",
-            "knots": RunList(contact_knots),
-            "notes": [],
-            "overall_legal": self.overall_legal,
-            # tightness of a built diagram is never decided
-            "tightness_hint": TightnessHint.UNKNOWN.value,
-        }
-        return diagram, contact
 
 
 def _knot_data(knot: SurgeryKnot) -> ContactKnotData:
@@ -228,6 +189,6 @@ def legalize(d: SurgeryDiagram) -> ContactDiagram:
     verdict per knot of `d.knots`, which covers all `count` copies.
     Mirrored pair knots only need Legendrian representatives respecting
     the pairing, so they are always legal; their framing data is computed
-    where it is rendered (`ContactDiagram.entries`).
+    when the documents read `ContactDiagram.entries`.
     """
     return ContactDiagram(d, tuple(_knot_data(knot) for knot in d.knots))

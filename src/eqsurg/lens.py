@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterator, Optional
 
-from .contact import ContactDiagram, TightnessHint, legalize
+from .contact import ContactDiagram, Illegal, RunList, TightnessHint, legalize
 from .contfrac import ContFrac, Flavor, expand, honda_count, is_palindrome
 from .matrices import IntMatrix
 from .surgery import SurgeryDiagram, word_to_diagram
@@ -146,6 +146,53 @@ def assemble(word: TwistWord) -> ContactDiagram:
     return legalize(word_to_diagram(validate_equivariant_shape(word)))
 
 
+def diagram_documents(contact: ContactDiagram) -> tuple[dict, dict]:
+    """The JSON documents of the surgery diagram `contact.base` and of
+    `contact`, from one pass over `contact.entries()`.
+
+    Each knot list is a RunList with one run (document, `count`) per knot,
+    so the copies of a run share one dict; a contact knot document is the
+    knot document plus its contact data.
+    """
+    knots, contact_knots = [], []
+    for knot, data in contact.entries():
+        if knot.torus_type is not None:
+            role = {"invariant": knot.torus_type.value}
+        else:
+            role = {"pair_mirror" if knot.level > 0 else "pair_primary": abs(knot.level)}
+        doc = {
+            "level": knot.level,
+            "curve": list(knot.curve.coords),
+            "coeff": f"{knot.coeff:+d}",
+            "role": role,
+            "type": "/".join(knot.labels),
+        }
+        glue_back = data.glue_back
+        if isinstance(glue_back, Illegal):
+            glue_back = f"Illegal({glue_back.reason.value})"
+        elif glue_back is not None:
+            glue_back = glue_back.value
+        knots.append((doc, knot.count))
+        contact_knots.append(({**doc, "contact": {
+            "tw": data.tw_h,
+            "tb": data.tb,
+            "coeff": f"{data.contact_coeff:+d}",
+            "glue_back": glue_back,
+            "legal": data.legal,
+            "notes": [],
+        }}, knot.count))
+    diagram = {"ambient": "S3_cst", "knots": RunList(knots), "notes": []}
+    contact_doc = {
+        "ambient": "S3_cst",
+        "knots": RunList(contact_knots),
+        "notes": [],
+        "overall_legal": contact.overall_legal,
+        # tightness of a built diagram is never decided
+        "tightness_hint": TightnessHint.UNKNOWN.value,
+    }
+    return diagram, contact_doc
+
+
 @dataclass(frozen=True)
 class BuildReport:
     """A finished build; `contact` is None when the word has no equivariant shape."""
@@ -195,7 +242,7 @@ class BuildReport:
     def to_json_dict(self) -> dict:
         diagram = contact = None
         if self.contact is not None:
-            diagram, contact = self.contact.to_json_dicts()
+            diagram, contact = diagram_documents(self.contact)
         return {
             "p": self.target.p,
             "q": self.target.q,
@@ -257,7 +304,7 @@ class CatalogEntry:
         return contact.base, contact
 
     def to_json_dict(self) -> dict:
-        diagram, contact = assemble(self.word).to_json_dicts()
+        diagram, contact = diagram_documents(assemble(self.word))
         return {
             "name": self.name,
             "word": format_word(self.word),

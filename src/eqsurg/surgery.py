@@ -138,20 +138,6 @@ class SurgeryKnot:
             return ("5",)
         return type_labels_for_coeff(self.torus_type, self.coeff)
 
-    def to_json_dict(self) -> dict:
-        if self.torus_type is not None:
-            role = {"invariant": self.torus_type.value}
-        else:
-            key = "pair_mirror" if self.level > 0 else "pair_primary"
-            role = {key: abs(self.level)}
-        return {
-            "level": self.level,
-            "curve": list(self.curve.coords),
-            "coeff": f"{self.coeff:+d}",
-            "role": role,
-            "type": "/".join(self.labels),
-        }
-
 
 @dataclass(frozen=True)
 class SurgeryDiagram:
@@ -160,12 +146,9 @@ class SurgeryDiagram:
     `knots` holds the invariant knots; a knot with `count` m stands for m
     parallel copies.  `outer` and `mirror` are the shape's slices of the
     word; `pair_knots` reads outer[idx] and its partner mirror[-1 - idx]
-    as pair i = len(outer) - idx.  Its JSON document, which
-    `ContactDiagram.to_json_dicts` builds next to the contact one, lists
-    the pair knots, then one entry per copy of each invariant knot, as a
-    `contact.RunList` with one run (document, `count`) per knot.  The
-    ambient manifold is always the standard real S^3 and a diagram
-    carries no notes.
+    as pair i = len(outer) - idx.  The ambient manifold is always the
+    standard real S^3 and a diagram carries no notes.  Its JSON document
+    is built in `lens.diagram_documents`, next to the contact one.
     """
 
     knots: tuple[SurgeryKnot, ...]

@@ -367,6 +367,9 @@ def _sha256(text):
 
 
 _NO_TEXT = "usage error: --format text is not available for this command\n"
+# an involution file that does not exist: a name in the tests directory
+# that no file carries
+_MISSING = os.path.join(os.path.dirname(os.path.abspath(__file__)), "no-such-involution.json")
 
 # (argv, exit code, stdout digest or "" for no output, exact stderr)
 _REUSE = [
@@ -389,6 +392,15 @@ _REUSE = [
      "0768bafa605e71ab8bf745b3cc434c466bc768bf61f4327ec671858abc23da89", ""),
     (("verify", "--word", "a^1 | cst", "--expect", "[[-1,0],[2,1]]"), 1,
      "1ac92bb1517159d36c638d13c948bca7d23ce535d9d1af2a42fa53a49902f3fd", ""),
+    (("catalog", "typeA", "--p", "4", "--q", "2"), 2, "",
+     "inadmissible: p=4 and q=2 are not coprime\n"),
+    (("factor-palindrome", "--curves", "(a+b)^1", "--involution", _MISSING), 64, "",
+     f"usage error: cannot read involution matrix: [Errno 2] No such file or directory: "
+     f"{_MISSING!r}\n"),
+    (("verify", "--word", "a^1", "--genus", "2"), 64, "",
+     "usage error: cannot parse word: named curve 'a' is only defined at genus 1\n"),
+    (("verify", "--relations", "--format", "text"), 0,
+     "34f288696affbf837358b2a5bb9578b1e54b6c0ba804e2905d11568ca5524a03", ""),
     # commands without a text form
     (("catalog", "rp3", "--format", "text"), 64, "", _NO_TEXT),
     (("verify", "--word", "a^1 | cst", "--format", "text"), 64, "", _NO_TEXT),

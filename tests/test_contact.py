@@ -19,7 +19,7 @@ from eqsurg.contact import (
     tight_solid_torus_exists,
     tw_wrt_heegaard,
 )
-from eqsurg.lens import Variant, build
+from eqsurg.lens import Variant, build, diagram_documents
 from eqsurg.matrices import CurveClass
 from eqsurg.surgery import (
     SurgeryDiagram,
@@ -130,7 +130,7 @@ def test_legalize_pairs_always_legal():
     # legalize classifies no pair; the documents mark each pair knot as legal
     c = contact_of("b^2 a^2 | cst")
     assert c.overall_legal and c.knot_data == () and c.flags() == []
-    diagram, contact = c.to_json_dicts()
+    diagram, contact = diagram_documents(c)
     docs = contact["knots"]
     assert [k["role"] for k in docs] == [{"pair_primary": 1}, {"pair_mirror": 1}]
     assert all(k["contact"]["glue_back"] is None and k["contact"]["legal"] for k in docs)
@@ -146,13 +146,13 @@ def test_fix_rule_word_prints_empty_notes():
     # `build` decides on the rewrite, and every knot prints "notes": []
     c = contact_of("a^-1 (a+b)^1 b^-1 | cst")
     assert any(not d.legal for d in c.knot_data)
-    docs = c.to_json_dicts()[1]["knots"]
+    docs = diagram_documents(c)[1]["knots"]
     assert docs and all(k["contact"]["notes"] == [] for k in docs)
 
 
 def test_contact_json_fields():
     c = contact_of("(a+b)^-1 | cst")
-    _, doc = c.to_json_dicts()
+    _, doc = diagram_documents(c)
     assert doc["overall_legal"] is True
     assert doc["knots"][0]["contact"] == {
         "tw": -2,
@@ -179,7 +179,7 @@ def test_runs_equal_unit_copies(p, q, variant):
         d.mirror,
     )
     split = legalize(units)
-    assert split.to_json_dicts() == c.to_json_dicts()
+    assert diagram_documents(split) == diagram_documents(c)
     assert split.flags() == c.flags()
 
 
@@ -211,17 +211,59 @@ def test_knot_lists_and_flags_are_run_lists(p, variant):
     # one run per knot (flags: per illegal knot) of length knot.count, whose
     # list value is the copies in order; only C's middle run is illegal
     contact = build(p, 1, variant).contact
-    diagram_doc, contact_doc = contact.to_json_dicts()
+    diagram_doc, contact_doc = diagram_documents(contact)
     knots = [k for k, _ in contact.entries()]
     illegal = [(k, d) for k, d in zip(contact.base.knots, contact.knot_data) if not d.legal]
     flags = contact.flags()
     assert bool(illegal) == (variant is Variant.C) and any(k.count > 1 for k in knots)
+    # the expected documents, from the records' own fields
+    expect_knots, expect_contact = [], []
+    for k, d in contact.entries():
+        if k.torus_type is None:
+            role = {("pair_primary", "pair_mirror")[k.level > 0]: abs(k.level)}
+        else:
+            role = {"invariant": k.torus_type.value}
+        doc = {"level": k.level, "curve": list(k.curve.coords), "coeff": "%+d" % k.coeff,
+               "role": role, "type": "/".join(k.labels)}
+        glue_back = (None if d.glue_back is None else
+                     d.glue_back.value if d.legal else f"Illegal({d.glue_back.reason.value})")
+        data = {"tw": d.tw_h, "tb": d.tb, "coeff": "%+d" % d.contact_coeff,
+                "glue_back": glue_back, "legal": d.legal, "notes": []}
+        expect_knots.append((doc, k.count))
+        expect_contact.append(({**doc, "contact": data}, k.count))
     for docs, expect in [
-        (diagram_doc["knots"], [(k.to_json_dict(), k.count) for k in knots]),
-        (contact_doc["knots"], [({**k.to_json_dict(), "contact": d.to_json_dict()}, k.count)
-                                for k, d in contact.entries()]),
+        (diagram_doc["knots"], expect_knots),
+        (contact_doc["knots"], expect_contact),
         (flags, [(d.glue_back.reason.value, k.count) for k, d in illegal]),
     ]:
         assert type(docs) is RunList
         assert docs.runs == expect
         assert list(docs) == [item for item, n in expect for _ in range(n)]
+    # the copies of a run share one document
+    for docs in (diagram_doc["knots"], contact_doc["knots"]):
+        for doc, n in docs.runs:
+            assert sum(item is doc for item in docs) == n
+
+
+@pytest.mark.parametrize("curve, ttype, coeff, reason, contact_coeff", [
+    ((1, 0), TorusType.C1, -1, "NoSlope", "+0"),
+    ((1, 2), TorusType.C1, -1, "NotUnitNumerator", "+2"),
+    ((1, 1), TorusType.C3, 1, "C3Knot", "+3"),
+    ((1, 1), TorusType.C4, 1, "PositiveC4Middle", "+3"),
+])
+def test_every_illegal_reason_reaches_the_documents(curve, ttype, coeff, reason, contact_coeff):
+    # one hand-built invariant run of two knots per reason
+    knot = SurgeryKnot(0, CurveClass(curve), coeff, ttype, 2)
+    c = legalize(SurgeryDiagram((knot,)))
+    _, doc = diagram_documents(c)
+    (run, n), = doc["knots"].runs
+    assert n == 2 and run["contact"] == {
+        "tw": tw_wrt_heegaard(knot.curve),
+        "tb": thurston_bennequin(knot.curve),
+        "coeff": contact_coeff,
+        "glue_back": f"Illegal({reason})",
+        "legal": False,
+        "notes": [],
+    }
+    assert doc["overall_legal"] is False
+    assert c.flags() == [reason, reason] and c.flags().runs == [(reason, 2)]

@@ -62,6 +62,13 @@ GOLDEN = [
      "5065554d8e8a5fd973fe98184a9ce8b87589c52e175271c8a6c801df13f4db64"),
     ("lens --p 998 --q 997 --variant C'",
      "d61267e148bf8f31ee9c88f2db8e1d2a16f5d61d2bef92faca554a0f73c0eb08"),
+    # the same words in text: about 500 pairs each, printed by level
+    ("lens --p 998 --q 997 --variant C --format text",
+     "b00ac89343d303d1a4d2231dd3c6ee8273874e50b0dc0d1d6dd25b71ad28b85a"),
+    ("lens --p 998 --q 997 --variant C' --format text",
+     "6687808730ad94aceaeb4b481571718e746bc72c3fce8d2ac8bdd004d2a65d7e"),
+    ("verify --relations --format text",
+     "34f288696affbf837358b2a5bb9578b1e54b6c0ba804e2905d11568ca5524a03"),
 ]
 
 

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eqsurg.contact import legalize
+from eqsurg.lens import diagram_documents
 from eqsurg.matrices import CurveClass
 from eqsurg.surgery import (
     SurgeryError,
@@ -181,7 +182,8 @@ def test_diagram_pairs_mirror_levels_and_coeffs():
     d = diagram_of("b^2 a^3 (a+b)^-1 b^3 a^2 | cst")
     pairs = {k.level: k for k in d.pair_knots()}
     # pair i: the primary knot on level -i, its mirror on level +i
-    assert {level: k.to_json_dict()["role"] for level, k in pairs.items()} == {
+    knots = diagram_documents(legalize(d))[0]["knots"]
+    assert {k["level"]: k["role"] for k in knots if k["level"]} == {
         -2: {"pair_primary": 2},
         2: {"pair_mirror": 2},
         -1: {"pair_primary": 1},
@@ -195,7 +197,7 @@ def test_diagram_pairs_mirror_levels_and_coeffs():
 
 def test_diagram_json_shape():
     d = diagram_of("(a+b)^-1 | cst")
-    doc, _ = legalize(d).to_json_dicts()
+    doc, _ = diagram_documents(legalize(d))
     assert doc["ambient"] == "S3_cst"
     assert doc["knots"][0] == {
         "level": 0,

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eqsurg.contact import legalize
+from eqsurg.lens import diagram_documents
 from eqsurg.matrices import CurveClass, IntMatrix, SymplecticForm, transvection
 from eqsurg.surgery import word_to_diagram
 from eqsurg.words import (
@@ -215,7 +216,7 @@ def test_shape_with_invariant_middle():
     d = word_to_diagram(shape)
     (knot,) = d.invariant_knots()
     assert (knot.level, knot.coeff, knot.count) == (0, 1, 3)
-    doc, _ = legalize(d).to_json_dicts()
+    doc, _ = diagram_documents(legalize(d))
     assert [k["level"] for k in doc["knots"]] == [-1, 1, 0, 0, 0]
 
 
