@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 verification failure, 2 inadmissible input,
-64 usage error.  When stdout closes before the output is written
-(`eqsurg census --max-p 300 | head -c 10`), the command stops at the
-failed write and exits 1 without a message.
+64 usage error.  `main` maps a `UsageError` to 64 and a `BadInput` to 2;
+`factor-palindrome` maps its own `WordError` to 2.  When stdout closes
+before the output is written (`eqsurg census --max-p 300 | head -c 10`),
+the command stops at the failed write and exits 1 without a message.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from typing import Optional
 from .contact import RunList
 from .contfrac import BadInput, Flavor, runs
 from .lens import (
-    InadmissiblePair,
     Variant,
     admissible_pairs,
     build,
@@ -218,12 +218,8 @@ def _knot_lines(doc: dict) -> list[str]:
 def cmd_lens(args) -> int:
     if args.p > MAX_P:
         raise UsageError(f"--p must be at most {MAX_P}, got {args.p}")
-    try:
-        variant = Variant.parse(args.variant)
-        report = build(args.p, args.q, variant)
-    except InadmissiblePair as exc:
-        print(f"inadmissible: {exc}", file=sys.stderr)
-        return EXIT_INADMISSIBLE
+    variant = Variant.parse(args.variant)  # a bad variant before a bad (p, q)
+    report = build(args.p, args.q, variant)
     doc = report.to_json_dict()
 
     def text():
@@ -303,18 +299,14 @@ def cmd_catalog(args) -> int:
         return EXIT_OK if all(d["matrix_ok"] for d in docs) else EXIT_VERIFY
     if args.p is None or args.q is None:
         raise UsageError("catalog typeA requires --p and --q")
-    try:
-        # every r_i <= -2, so knot i has |r_i + 1| = -r_i - 1 rotation
-        # numbers; their running sum is bounded before any run is listed
-        sums = accumulate((-r - 1) * k for r, k in runs(args.p, args.q, Flavor.NEGATIVE))
-        if any(n > MAX_ROTATION_CHOICES for n in sums):
-            raise UsageError(
-                f"the chain has more than {MAX_ROTATION_CHOICES} rotation numbers to list"
-            )
-        report = type_A_chain(args.p, args.q)
-    except BadInput as exc:
-        print(f"inadmissible: {exc}", file=sys.stderr)
-        return EXIT_INADMISSIBLE
+    # every r_i <= -2, so knot i has |r_i + 1| = -r_i - 1 rotation
+    # numbers; their running sum is bounded before any run is listed
+    sums = accumulate((-r - 1) * k for r, k in runs(args.p, args.q, Flavor.NEGATIVE))
+    if any(n > MAX_ROTATION_CHOICES for n in sums):
+        raise UsageError(
+            f"the chain has more than {MAX_ROTATION_CHOICES} rotation numbers to list"
+        )
+    report = type_A_chain(args.p, args.q)
     _emit({"catalog": "typeA", **report.to_json_dict()}, "json")
     return EXIT_OK
 
@@ -481,6 +473,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BadInput as exc:
+        print(f"inadmissible: {exc}", file=sys.stderr)
+        return EXIT_INADMISSIBLE
     except BrokenPipeError:
         # the reader is gone: send what is still buffered to devnull, so
         # that the flush at interpreter exit is silent

@@ -41,7 +41,8 @@ class ContFrac:
         return len(self.terms)
 
 
-def _check_pq(p: int, q: int) -> None:
+def check_pq(p: int, q: int) -> None:
+    """Raise BadInput unless p > q > 0 and gcd(p, q) = 1."""
     if not (p > q > 0):
         raise BadInput(f"need p > q > 0, got p={p}, q={q}")
     if math.gcd(p, q) != 1:
@@ -54,7 +55,7 @@ def runs(p: int, q: int, flavor: Flavor = Flavor.POSITIVE) -> Iterator[tuple[int
     A run of 2s (or -2s) is a maximal one; any other term is a run of
     its own.  A bad (p, q) raises BadInput before anything is yielded.
     """
-    _check_pq(p, q)
+    check_pq(p, q)
     sign = 1 if flavor is Flavor.POSITIVE else -1
     # -p/q = [-r_1, ..., -r_n] when p/q = [r_1, ..., r_n], so both flavors
     # run the ceiling expansion of p/q: r = ceil(p/q), then recurse on the

@@ -11,11 +11,10 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from math import gcd
 from typing import Iterator, Optional
 
 from .contact import ContactDiagram, Illegal, RunList, TightnessHint, legalize
-from .contfrac import ContFrac, Flavor, expand, honda_count, is_palindrome
+from .contfrac import BadInput, ContFrac, Flavor, check_pq, expand, honda_count, is_palindrome
 from .matrices import IntMatrix
 from .surgery import SurgeryDiagram, word_to_diagram
 from .words import (
@@ -35,10 +34,6 @@ from .words import (
 )
 
 
-class InadmissiblePair(ValueError):
-    pass
-
-
 class Variant(enum.Enum):
     C = "C"
     C_PRIME = "C'"
@@ -49,7 +44,7 @@ class Variant(enum.Enum):
             return Variant.C
         if text in ("C'", "c'", "Cprime", "cprime", "C_prime"):
             return Variant.C_PRIME
-        raise InadmissiblePair(f"unknown variant {text!r}")
+        raise BadInput(f"unknown variant {text!r}")
 
 
 @dataclass(frozen=True)
@@ -62,12 +57,9 @@ class LensTarget:
 
     def __post_init__(self):
         p, q = self.p, self.q
-        if not (p > q > 0):
-            raise InadmissiblePair(f"need p > q > 0, got ({p}, {q})")
-        if gcd(p, q) != 1:
-            raise InadmissiblePair(f"({p}, {q}) are not coprime")
-        if (q * q) % p != 1 % p:
-            raise InadmissiblePair(
+        check_pq(p, q)
+        if (q * q) % p != 1:
+            raise BadInput(
                 f"q^2 = {q * q % p} mod {p}; the gluing map is an involution "
                 "only when q^2 = 1 mod p"
             )

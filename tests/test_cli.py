@@ -335,8 +335,15 @@ def test_cli_fuzz_exits_with_documented_code(argv):
             code = main(argv)
         except SystemExit as exc:  # argparse's --help
             code = exc.code
-    assert code in (0, 1, 2, 64), (argv, err.getvalue())
-    assert "Traceback" not in err.getvalue()
+    err = err.getvalue()
+    assert code in (0, 1, 2, 64), (argv, err)
+    assert "Traceback" not in err
+    # each code has its one stderr form; argparse echoes raw arguments, so
+    # a message may span lines
+    assert (code == 2) == err.startswith("inadmissible: "), (argv, code, err)
+    assert (code == 64) == err.startswith("usage error: "), (argv, code, err)
+    if code in (0, 1):
+        assert err == "", (argv, code, err)
 
 
 def test_factor_palindrome_cst(capsys):
@@ -393,6 +400,19 @@ _REUSE = [
     (("verify", "--word", "a^1 | cst", "--expect", "[[-1,0],[2,1]]"), 1,
      "1ac92bb1517159d36c638d13c948bca7d23ce535d9d1af2a42fa53a49902f3fd", ""),
     (("catalog", "typeA", "--p", "4", "--q", "2"), 2, "",
+     "inadmissible: p=4 and q=2 are not coprime\n"),
+    (("catalog", "typeA", "--p", "3", "--q", "5"), 2, "",
+     "inadmissible: need p > q > 0, got p=3, q=5\n"),
+    (("lens", "--p", "5", "--q", "4", "--variant", "x"), 2, "",
+     "inadmissible: unknown variant 'x'\n"),
+    # the variant is parsed before (p, q) is checked
+    (("lens", "--p", "4", "--q", "2", "--variant", "x"), 2, "",
+     "inadmissible: unknown variant 'x'\n"),
+    (("factor-palindrome", "--curves", "a^1"), 2, "",
+     "inadmissible: input curve a is not invariant under s\n"),
+    (("lens", "--p", "3", "--q", "5"), 2, "",
+     "inadmissible: need p > q > 0, got p=3, q=5\n"),
+    (("lens", "--p", "4", "--q", "2"), 2, "",
      "inadmissible: p=4 and q=2 are not coprime\n"),
     (("factor-palindrome", "--curves", "(a+b)^1", "--involution", _MISSING), 64, "",
      f"usage error: cannot read involution matrix: [Errno 2] No such file or directory: "

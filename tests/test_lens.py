@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 
 import eqsurg.lens
 from eqsurg.contact import TightnessHint
-from eqsurg.contfrac import expand
+from eqsurg.contfrac import BadInput, expand
 from eqsurg.lens import (
     BuildReport,
-    InadmissiblePair,
     LensTarget,
     Variant,
     admissible_pairs,
@@ -55,11 +54,11 @@ def test_target_matrix_is_the_signed_gluing_matrix(variant):
 
 
 def test_inadmissible_pairs_rejected():
-    with pytest.raises(InadmissiblePair):
+    with pytest.raises(BadInput):
         LensTarget(5, 2, Variant.C)  # 4 != 1 mod 5
-    with pytest.raises(InadmissiblePair):
+    with pytest.raises(BadInput):
         LensTarget(4, 2, Variant.C)  # not coprime
-    with pytest.raises(InadmissiblePair):
+    with pytest.raises(BadInput):
         LensTarget(2, 3, Variant.C)  # q > p
 
 
