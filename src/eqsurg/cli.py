@@ -64,8 +64,9 @@ MAX_GENUS = 100
 MAX_P = 10_000
 
 # The census scans O(max_p^2) pairs before its first build and prints
-# about 67 MB at max_p = 2000 (10.6 s); past this bound it would run for
-# hours and print gigabytes.
+# about 67 MB at max_p = 2000 (2.3-2.8 s as a subprocess on a 2-vCPU VM
+# with Python 3.11); past this bound it would run for hours and print
+# gigabytes.
 MAX_CENSUS_P = 2_000
 
 
@@ -389,10 +390,9 @@ def cmd_factor_palindrome(args) -> int:
         except (OSError, ValueError) as exc:  # ValueError: not valid text
             raise UsageError(f"cannot read involution matrix: {exc}") from None
         s = _parse_matrix(text, "cannot read involution matrix")
+    fs = word.factors
     try:
-        result = factor_palindrome(
-            [c for c, _ in word.factors], [e for _, e in word.factors], s
-        )
+        result = factor_palindrome([c for c, _ in fs], [e for _, e in fs], s)
     except WordError as exc:
         print(f"inadmissible: {exc}", file=sys.stderr)
         return EXIT_INADMISSIBLE

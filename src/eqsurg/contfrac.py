@@ -4,7 +4,9 @@ Positive flavor: p/q = [r_1,...,r_n] with every r_i >= 2, expanded by
 ceiling division.  Negative flavor: the analogous expansion of -p/q with
 every r_i <= -2.  Both use the nested expression r_1 - 1/(r_2 - ...).
 A run of terms 2 (or -2) is found in one step: it has q // (p - q)
-terms, a quotient of Euclid's algorithm on (q, p - q).
+terms, a quotient of Euclid's algorithm on (q, p - q).  An expansion is
+held as its runs of equal terms, so p/(p - 1) = [2, ..., 2] is one run
+however large p is.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Iterator
 
 
@@ -26,19 +29,31 @@ class BadInput(ValueError):
 
 @dataclass(frozen=True)
 class ContFrac:
-    terms: tuple[int, ...]
+    """The terms as maximal runs (term, count) of equal terms, in order;
+    `terms` is the flat view, built on each read."""
+
+    runs: tuple[tuple[int, int], ...]
     flavor: Flavor
 
     def __post_init__(self):
-        if not self.terms:
+        if not self.runs:
             raise BadInput("continued fraction needs at least one term")
-        if self.flavor is Flavor.POSITIVE and min(self.terms) < 2:
-            raise BadInput(f"positive flavor requires all terms >= 2, got {self.terms}")
-        if self.flavor is Flavor.NEGATIVE and max(self.terms) > -2:
-            raise BadInput(f"negative flavor requires all terms <= -2, got {self.terms}")
+        positive, previous = self.flavor is Flavor.POSITIVE, None
+        for r, k in self.runs:
+            if k < 1 or r == previous:
+                raise BadInput(f"runs must be maximal, with counts >= 1, got {self.runs}")
+            if positive and r < 2:
+                raise BadInput(f"positive flavor requires all terms >= 2, got {self.terms}")
+            if not positive and r > -2:
+                raise BadInput(f"negative flavor requires all terms <= -2, got {self.terms}")
+            previous = r
+
+    @property
+    def terms(self) -> tuple[int, ...]:
+        return tuple(chain.from_iterable(repeat(r, k) for r, k in self.runs))
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return sum([k for _, k in self.runs])
 
 
 def check_pq(p: int, q: int) -> None:
@@ -50,10 +65,8 @@ def check_pq(p: int, q: int) -> None:
 
 
 def runs(p: int, q: int, flavor: Flavor = Flavor.POSITIVE) -> Iterator[tuple[int, int]]:
-    """The terms of `expand(p, q, flavor)` as runs (term, count), in order.
-
-    A run of 2s (or -2s) is a maximal one; any other term is a run of
-    its own.  A bad (p, q) raises BadInput before anything is yielded.
+    """The terms of `expand(p, q, flavor)` as maximal runs (term, count),
+    in order.  A bad (p, q) raises BadInput before anything is yielded.
     """
     check_pq(p, q)
     sign = 1 if flavor is Flavor.POSITIVE else -1
@@ -72,24 +85,23 @@ def runs(p: int, q: int, flavor: Flavor = Flavor.POSITIVE) -> Iterator[tuple[int
             q %= d
             p = q + d
         else:
-            r = -(-p // q)
-            yield r * sign, 1
-            rem = r * q - p
-            if rem == 0:
+            # terms r = ceil(p/q) >= 3, each taking (p, q) to (q, r*q - p)
+            r, k = -(-p // q), 0
+            while q and -(-p // q) == r:
+                p, q = q, r * q - p
+                k += 1
+            yield r * sign, k
+            if not q:
                 return
-            p, q = q, rem
 
 
 def expand(p: int, q: int, flavor: Flavor = Flavor.POSITIVE) -> ContFrac:
     """Expand p/q (positive flavor) or -p/q (negative flavor)."""
-    terms = []
-    for r, k in runs(p, q, flavor):
-        terms += [r] * k
-    return ContFrac(tuple(terms), flavor)
+    return ContFrac(tuple(runs(p, q, flavor)), flavor)
 
 
 def is_palindrome(cf: ContFrac) -> bool:
-    return cf.terms == cf.terms[::-1]
+    return cf.runs == cf.runs[::-1]  # maximal runs: one sequence of runs per terms
 
 
 def honda_count(cf: ContFrac) -> int:
@@ -97,6 +109,6 @@ def honda_count(cf: ContFrac) -> int:
     if cf.flavor is not Flavor.NEGATIVE:
         raise BadInput("the tight-structure count uses the negative flavor")
     prod = 1
-    for r in cf.terms:
-        prod *= r + 1
+    for r, k in cf.runs:
+        prod *= (r + 1) ** k
     return abs(prod)

@@ -106,21 +106,51 @@ _MIDDLE = {
 }
 
 
-def _factor(terms: tuple[int, ...], prime: bool) -> TwistWord:
+# The fewest equal terms that `_factor` makes a run of blocks.  Below
+# this, `eval_word` and the shape walk take the factors one by one in less
+# time than a block power and a run pairing cost.
+_LONG_RUN = 16
+
+
+def _factor(cf: ContFrac, prime: bool) -> TwistWord:
     """left * middle * mirrored left: factor i of the left half twists
-    along b for even i and a for odd i, with exponent terms[i]."""
-    n = len(terms)
+    along b for even i and a for odd i, with exponent terms[i].
+
+    A run of k >= _LONG_RUN equal terms t at index i is the run of
+    k // 2 copies of the block (b^t, a^t) for even i, or (a^t, b^t) for
+    odd i, then the block's first factor if k is odd; its mirror is the
+    image run.  The factors between such runs form one run, and so do the
+    middle and the factors on either side of it.
+    """
+    n = len(cf)
     half = n // 4 * 2 + (n % 4 >= 2)
-    left = [((CURVE_B, CURVE_A)[i % 2], terms[i]) for i in range(half)]
-    middle = _MIDDLE[prime, n % 4](terms[half])
-    mirror = [(CST_IMAGES[c], e) for c, e in reversed(left)]
-    return TwistWord.of(left + middle + mirror, base=CST)
+    left, flat, i = [], [], 0  # the left half's runs, and its factors since the last one
+    for t, k in cf.runs:
+        centre = i + k > half  # the run holds terms[half]
+        if centre:
+            k = half - i
+        block = ((CURVE_B, t), (CURVE_A, t)) if i % 2 == 0 else ((CURVE_A, t), (CURVE_B, t))
+        if k >= _LONG_RUN:
+            if flat:
+                left.append((tuple(flat), 1))
+                flat = []
+            left.append((block, k // 2))
+        else:
+            flat += block * (k // 2)
+        flat += block[:k % 2]
+        i += k
+        if centre:
+            break
+    mirror = [(tuple([(CST_IMAGES[c], e) for c, e in reversed(block)]), k)
+              for block, k in reversed(left)]
+    middle = tuple(flat + _MIDDLE[prime, n % 4](t) + [(CST_IMAGES[c], e) for c, e in reversed(flat)])
+    return TwistWord(tuple(left + ([(middle, 1)] if middle else []) + mirror), base=CST)
 
 
 def _word(target: LensTarget) -> tuple[ContFrac, TwistWord]:
     """Expand p/q and factor the target's gluing involution into a mirrored word."""
     cf = expand(target.p, target.q, Flavor.POSITIVE)
-    return cf, _factor(cf.terms, prime=target.variant is Variant.C_PRIME)
+    return cf, _factor(cf, prime=target.variant is Variant.C_PRIME)
 
 
 def factor_C(p: int, q: int) -> TwistWord:

@@ -144,16 +144,16 @@ class SurgeryDiagram:
     """A leveled surgery link.
 
     `knots` holds the invariant knots; a knot with `count` m stands for m
-    parallel copies.  `outer` and `mirror` are the shape's slices of the
-    word; `pair_knots` reads outer[idx] and its partner mirror[-1 - idx]
-    as pair i = len(outer) - idx.  The ambient manifold is always the
-    standard real S^3 and a diagram carries no notes.  Its JSON document
-    is built in `lens.diagram_documents`, next to the contact one.
+    parallel copies.  `shape` is the parsed word the pairs come from, or
+    None for a diagram without pairs; `pair_knots` reads its outer[idx]
+    and the partner mirror[-1 - idx] as pair i = len(outer) - idx, and
+    only when it is called.  The ambient manifold is always the standard
+    real S^3 and a diagram carries no notes.  Its JSON document is built
+    in `lens.diagram_documents`, next to the contact one.
     """
 
     knots: tuple[SurgeryKnot, ...]
-    outer: tuple[tuple[CurveClass, int], ...] = ()
-    mirror: tuple[tuple[CurveClass, int], ...] = ()
+    shape: Optional[EquivariantShape] = None
 
     def invariant_knots(self) -> list[SurgeryKnot]:
         return list(self.knots)
@@ -162,8 +162,10 @@ class SurgeryDiagram:
         """Pair i's primary (level -i) and mirror (level +i) knot, deepest
         first; outer factor (gamma, sigma) gives both the coefficient -sigma."""
         out = []
-        i = len(self.outer)
-        for (primary, sigma), (mirror, _) in zip(self.outer, reversed(self.mirror)):
+        if self.shape is None:
+            return out
+        i = self.shape.t
+        for (primary, sigma), (mirror, _) in zip(self.shape.outer, reversed(self.shape.mirror)):
             out += [SurgeryKnot(-i, primary, -sigma), SurgeryKnot(i, mirror, -sigma)]
             i -= 1
         return out
@@ -172,13 +174,14 @@ class SurgeryDiagram:
 def word_to_diagram(shape: EquivariantShape) -> SurgeryDiagram:
     """Leveled surgery link realizing the equivariant product.
 
-    The shape's outer and mirror slices become the pairs as they are; each
-    middle run (gamma, m) becomes one invariant knot at level 0 with
-    coefficient sign(m) and count |m|.  Knot types of invariant curves
-    come from the built-in genus-1 table for the standard involution.
+    The shape's outer and mirror slices become the pairs, read when the
+    pair knots are; each middle factor (gamma, m) becomes one invariant
+    knot at level 0 with coefficient sign(m) and count |m|.  Knot types of
+    invariant curves come from the built-in genus-1 table for the
+    standard involution.
     """
     knots = []
     for curve, exp in shape.middle:
         unit = 1 if exp > 0 else -1
         knots.append(SurgeryKnot(0, curve, unit, knot_type_under_cst(curve), abs(exp)))
-    return SurgeryDiagram(tuple(knots), shape.outer, shape.mirror)
+    return SurgeryDiagram(tuple(knots), shape)

@@ -6,6 +6,14 @@ structure of S^3 and the only base.  Words evaluate to matrix products with
 the rightmost factor applied first, so the written word g_k ... g_1
 evaluates to M(g_k) @ ... @ M(g_1).
 
+A word is held as runs (block, k): a tuple of factors repeated k times.
+`TwistWord.factors` is the flat view, built on each read; `format_word`
+and the shape's outer and mirrored parts read it.  The checks walk the
+runs instead: `eval_word` raises each block's matrix to its power by
+repeated squaring, the shape pairs whole runs from both ends, and the
+fix-rule scan reads three copies of a long run.  A word from
+`TwistWord.of` is one run, so a general word is walked factor by factor.
+
 All genus >= 2 verdicts here are homology-level: curve equality means
 equality of primitive classes up to sign.
 
@@ -18,6 +26,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import chain
+from operator import matmul
 from typing import Optional, Sequence
 
 from .matrices import (
@@ -64,11 +74,28 @@ def _check_real_structure(s: IntMatrix, genus: int) -> None:
         raise WordError("s must be an anti-symplectic involution")
 
 
-@dataclass(frozen=True)
-class TwistWord:
-    """Twist factors (curve, exponent), leftmost first, and `CST` or no base."""
+Factor = tuple[CurveClass, int]
+Run = tuple[tuple[Factor, ...], int]
 
-    factors: tuple[tuple[CurveClass, int], ...]
+
+def _flat(runs: tuple[Run, ...]) -> tuple[Factor, ...]:
+    if len(runs) == 1:  # a word from `TwistWord.of`, and most middles
+        block, k = runs[0]
+        return block * k
+    return tuple(chain.from_iterable([block * k for block, k in runs]))
+
+
+@dataclass(frozen=True, eq=False)
+class TwistWord:
+    """Twist factors (curve, exponent), leftmost first, held as runs
+    (block, k), and `CST` or no base.
+
+    Run (block, k) stands for the block's factors repeated k >= 1 times.
+    Two words are equal, and hash equal, when their flat factors, bases
+    and genera are, however the factors are cut into runs.
+    """
+
+    runs: tuple[Run, ...]
     base: Optional[IntMatrix] = None
     genus: int = 1
 
@@ -76,11 +103,14 @@ class TwistWord:
         if self.genus < 1:
             raise WordError(f"genus must be at least 1, got {self.genus}")
         dim = 2 * self.genus
-        for c, e in self.factors:
-            if e == 0:
-                raise WordError("twist factor exponent must be nonzero")
-            if len(c.coords) != dim:
-                raise WordError(f"curve {c.coords} does not match genus {self.genus}")
+        for block, k in self.runs:
+            if k < 1:
+                raise WordError(f"a run repeats its block at least once, got {k}")
+            for c, e in block:
+                if e == 0:
+                    raise WordError("twist factor exponent must be nonzero")
+                if len(c.coords) != dim:
+                    raise WordError(f"curve {c.coords} does not match genus {self.genus}")
         if self.base is not None:
             if self.base != CST:
                 raise WordError("base must be the standard real structure cst")
@@ -88,37 +118,91 @@ class TwistWord:
                 raise WordError(f"base acts at genus 1 but the word lies at genus {self.genus}")
 
     @staticmethod
-    def of(factors: Sequence[tuple[CurveClass, int]],
+    def of(factors: Sequence[Factor],
            base: Optional[IntMatrix] = None, genus: int = 1) -> "TwistWord":
-        return TwistWord(tuple(factors), base, genus)
+        """The word of these factors as one run."""
+        return TwistWord(((tuple(factors), 1),), base, genus)
+
+    @property
+    def factors(self) -> tuple[Factor, ...]:
+        return _flat(self.runs)
+
+    def __eq__(self, other):
+        if not isinstance(other, TwistWord):
+            return NotImplemented
+        return (self.base == other.base and self.genus == other.genus
+                and self.factors == other.factors)
+
+    def __hash__(self):
+        return hash((self.factors, self.base, self.genus))
+
+
+def _twist2(m: tuple, block: tuple[Factor, ...]) -> tuple:
+    """The genus-1 matrix m = (a, b, c, d), rows (a, b) and (c, d), times
+    the block's twists in written order.
+
+    IntMatrix.twist on the rows; the curve (x, y) has twist vector
+    (-y, x).  A curve (x, 0) changes only b and d, a curve (0, y) only a
+    and c.
+    """
+    a, b, c, d = m
+    for curve, e in block:
+        x, y = curve.coords
+        if not y:
+            f = e * x * x
+            b += f * a
+            d += f * c
+        elif not x:
+            f = e * y * y
+            a -= f * b
+            c -= f * d
+        else:
+            s = e * (a * x + b * y)
+            t = e * (c * x + d * y)
+            a, b, c, d = a - s * y, b + s * x, c - t * y, d + t * x
+    return a, b, c, d
+
+
+def _mul2(m: tuple, n: tuple) -> tuple:
+    a, b, c, d = m
+    e, f, g, h = n
+    return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+
+
+def _power(m, k: int, mul):
+    """m**k for k >= 1 by repeated squaring under the product `mul`."""
+    result = None
+    while True:
+        if k & 1:
+            result = m if result is None else mul(result, m)
+        k >>= 1
+        if not k:
+            return result
+        m = mul(m, m)
 
 
 def eval_word(w: TwistWord) -> IntMatrix:
+    """The word's matrix, multiplied out from its own factors: a run
+    (block, k) with k > 1 as the block's product raised to the k-th
+    power, a run with k = 1 factor by factor."""
     if w.genus == 1:
-        # IntMatrix.twist on the rows (a, b) and (c, d); the curve (x, y)
-        # has twist vector (-y, x).  A curve (x, 0) changes only b and d,
-        # a curve (0, y) only a and c.
-        a, b, c, d = 1, 0, 0, 1
-        for curve, e in w.factors:
-            x, y = curve.coords
-            if not y:
-                f = e * x * x
-                b += f * a
-                d += f * c
-            elif not x:
-                f = e * y * y
-                a -= f * b
-                c -= f * d
+        m = (1, 0, 0, 1)
+        for block, k in w.runs:
+            if k == 1:
+                m = _twist2(m, block)
             else:
-                s = e * (a * x + b * y)
-                t = e * (c * x + d * y)
-                a, b, c, d = a - s * y, b + s * x, c - t * y, d + t * x
+                m = _mul2(m, _power(_twist2((1, 0, 0, 1), block), k, _mul2))
+        a, b, c, d = m
         if w.base is not None:  # the product with CST swaps the columns
             a, b, c, d = b, a, d, c
         return IntMatrix(((a, b), (c, d)))
-    m = IntMatrix.identity(2 * w.genus)  # no word carries a base at genus >= 2
-    for curve, e in w.factors:
-        m = m.twist(curve, e)
+    one = IntMatrix.identity(2 * w.genus)  # no word carries a base at genus >= 2
+    m = one
+    for block, k in w.runs:
+        b = m if k == 1 else one
+        for curve, e in block:
+            b = b.twist(curve, e)
+        m = b if k == 1 else m @ _power(b, k, matmul)
     return m
 
 
@@ -256,15 +340,26 @@ def verify_relations(max_exp: int = 10) -> list[dict]:
 class EquivariantShape:
     """Parsed mirrored word: outer f-part, invariant middle, mirrored part.
 
-    All three are slices of the word's factors.  A middle factor (curve, m)
+    All three are slices of the word's factors: `outer` is the first `t`
+    factors and `mirror` the last `t`, both read from the flat view on
+    demand, and `middle` lies between them.  A middle factor (curve, m)
     stands for a run of |m| parallel twists of sign m along the curve.
     `mirror[-1 - i]` pairs with `outer[i]`: the same exponent on the image
     of outer[i]'s curve under `CST`.
     """
 
-    outer: tuple[tuple[CurveClass, int], ...]
-    middle: tuple[tuple[CurveClass, int], ...]
-    mirror: tuple[tuple[CurveClass, int], ...]
+    word: TwistWord
+    t: int
+    middle: tuple[Factor, ...]
+
+    @property
+    def outer(self) -> tuple[Factor, ...]:
+        return self.word.factors[:self.t]
+
+    @property
+    def mirror(self) -> tuple[Factor, ...]:
+        fs = self.word.factors
+        return fs[len(fs) - self.t:]
 
 
 class _Images(dict):
@@ -287,20 +382,32 @@ def validate_equivariant_shape(w: TwistWord) -> EquivariantShape:
 
     Only the longest mirrored outer part is tried: a shorter one moves
     factors into the middle, so a middle that fails here fails there too.
+    The mirror walk pairs whole runs from both ends while a run is the
+    image of its partner with the same count, then goes on factor by
+    factor inside the runs between the last pair.
     """
     if w.base is None:
         raise ShapeError("equivariant shape requires a base involution")
-    fs = w.factors
-    n = len(fs)
     image = _Images(CST_IMAGES)
+    runs = w.runs
+    lo, hi, t_max = 0, len(runs) - 1, 0
+    while lo < hi:
+        block, k = runs[lo]
+        if runs[hi] != (tuple([(image[c], e) for c, e in reversed(block)]), k):
+            break
+        t_max += len(block) * k
+        lo, hi = lo + 1, hi - 1
 
-    t_max = 0
+    fs = _flat(runs[lo:hi + 1])
+    n = len(fs)
+    t = 0
     for (c, e), (mirror_c, mirror_e) in zip(fs[:n // 2], reversed(fs)):
         if e != mirror_e or image[c] != mirror_c:
             break
-        t_max += 1
+        t += 1
+    t_max += t
 
-    mid = fs[t_max:n - t_max]
+    mid = fs[t:n - t]
     for c, e in mid:
         if image[c] != c:
             raise ShapeError(
@@ -316,7 +423,7 @@ def validate_equivariant_shape(w: TwistWord) -> EquivariantShape:
                 f"middle curves {curve_name(mid[0][0])} and {curve_name(c)} "
                 "are not disjoint"
             )
-    return EquivariantShape(fs[:t_max], mid, fs[n - t_max:])
+    return EquivariantShape(w, t_max, mid)
 
 
 # ---------------------------------------------------------------------------
@@ -404,22 +511,52 @@ _FIX_PATTERN = ((CURVE_A, -1), (CURVE_APB, 1), (CURVE_B, -1))
 
 
 def find_fix_rule(w: TwistWord) -> Optional[int]:
-    """Index of the leftmost occurrence of a^-1 (a+b)^1 b^-1, if any."""
+    """Index in the flat factors of the leftmost occurrence of
+    a^-1 (a+b)^1 b^-1, if any.
+
+    The scan reads a run of k > 3 copies as its first copy and its last
+    two: an occurrence inside the run repeats one block earlier, so the
+    leftmost one starts in the first copy, or in the last two factors of
+    the run when it reaches past the run's end.
+    """
     if w.genus != 1:
         return None
     (c0, e0), second, third = _FIX_PATTERN
-    fs = w.factors
+    fs: list[Factor] = []
+    skipped = []  # (length of fs at a cut, flat factors left out there)
+    for block, k in w.runs:
+        if k > 3:
+            fs += block
+            skipped.append((len(fs), len(block) * (k - 3)))
+            k = 2
+        fs += block * k
     for i in range(len(fs) - 2):
         c, e = fs[i]
         if e == e0 and c == c0 and fs[i + 1] == second and fs[i + 2] == third:
-            return i
+            return i + sum(n for at, n in skipped if at <= i)
     return None
 
 
+def _split(runs: tuple[Run, ...], i: int) -> tuple[tuple[Run, ...], tuple[Run, ...]]:
+    """The runs of the first i flat factors and the runs of the rest;
+    a run that holds the cut is cut into whole copies and a part block."""
+    for r, (block, k) in enumerate(runs):
+        n = len(block) * k
+        if i < n:
+            q, o = divmod(i, len(block))
+            head = ((block, q),) + (((block[:o], 1),) if o else ())
+            tail = (((block[o:], 1),) if o else ()) + ((block, k - q - (o > 0)),)
+            return (runs[:r] + tuple(x for x in head if x[1]),
+                    tuple(x for x in tail if x[1]) + runs[r + 1:])
+        i -= n
+    return runs, ()
+
+
 def apply_fix_rule(w: TwistWord, i: int) -> TwistWord:
-    """Replace the subword a^-1 (a+b)^1 b^-1 at index i, as found by
-    `find_fix_rule`, by (a-b)^-1 (matrix-equal)."""
-    if w.factors[i:i + 3] != _FIX_PATTERN:
+    """Replace the subword a^-1 (a+b)^1 b^-1 at flat index i, as found
+    by `find_fix_rule`, by (a-b)^-1 (matrix-equal)."""
+    head, rest = _split(w.runs, max(i, 0))
+    at, tail = _split(rest, 3)
+    if i < 0 or _flat(at) != _FIX_PATTERN:
         raise WordError(f"fix-rule pattern a^-1 (a+b)^1 b^-1 not at index {i}")
-    factors = w.factors[:i] + ((CURVE_AMB, -1),) + w.factors[i + 3:]
-    return TwistWord(factors, w.base, w.genus)
+    return TwistWord(head + ((((CURVE_AMB, -1),), 1),) + tail, w.base, w.genus)

@@ -29,7 +29,14 @@ from eqsurg.surgery import (
     extension_type,
     word_to_diagram,
 )
-from eqsurg.words import CURVE_APB, parse_word, validate_equivariant_shape
+from eqsurg.words import (
+    CST,
+    CURVE_APB,
+    EquivariantShape,
+    TwistWord,
+    parse_word,
+    validate_equivariant_shape,
+)
 
 
 def test_slope_normalization():
@@ -175,8 +182,7 @@ def test_runs_equal_unit_copies(p, q, variant):
     assert any(k.count > 1 for k in d.knots)
     units = SurgeryDiagram(
         tuple(dataclasses.replace(k, count=1) for k in d.knots for _ in range(k.count)),
-        d.outer,
-        d.mirror,
+        d.shape,
     )
     split = legalize(units)
     assert diagram_documents(split) == diagram_documents(c)
@@ -193,7 +199,9 @@ def test_legalize_key_separates_roles(runs):
         SurgeryKnot(0, CURVE_APB, -1, TorusType.C4, count),
         SurgeryKnot(0, CURVE_APB, -1, TorusType.C3, count),
     )
-    d = SurgeryDiagram(knots, ((CURVE_APB, -1),), ((CURVE_APB, -1),))
+    # one pair (a+b)^-1: the word (a+b)^-1 (a+b)^-1 | cst split at t = 1
+    pair = EquivariantShape(TwistWord.of([(CURVE_APB, -1)] * 2, base=CST), 1, ())
+    d = SurgeryDiagram(knots, pair)
     c = legalize(d)
     alone = tuple(_knot_data(k) for k in knots)
     assert alone[1] != alone[2]

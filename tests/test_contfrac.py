@@ -153,18 +153,28 @@ def test_negative_expansion_known_values():
 
 
 def test_flavor_bounds_enforced():
-    # positive terms must be >= 2 and negative terms <= -2, at any position
-    for terms, flavor in [
-        ((1,), Flavor.POSITIVE),
-        ((-1,), Flavor.NEGATIVE),
-        ((2, 1, 3), Flavor.POSITIVE),
-        ((3, 2, 1), Flavor.POSITIVE),
-        ((-2, -1, -3), Flavor.NEGATIVE),
+    # positive terms must be >= 2 and negative terms <= -2, at any position;
+    # the terms are given as runs (term, count)
+    for runs, flavor in [
+        (((1, 1),), Flavor.POSITIVE),
+        (((-1, 1),), Flavor.NEGATIVE),
+        (((2, 1), (1, 1), (3, 1)), Flavor.POSITIVE),
+        (((3, 1), (2, 1), (1, 1)), Flavor.POSITIVE),
+        (((-2, 1), (-1, 1), (-3, 1)), Flavor.NEGATIVE),
     ]:
         with pytest.raises(BadInput):
-            ContFrac(terms, flavor)
-    assert ContFrac((2, 2), Flavor.POSITIVE).terms == (2, 2)
-    assert ContFrac((-2, -2), Flavor.NEGATIVE).terms == (-2, -2)
+            ContFrac(runs, flavor)
+    assert ContFrac(((2, 2),), Flavor.POSITIVE).terms == (2, 2)
+    assert ContFrac(((-2, 2),), Flavor.NEGATIVE).terms == (-2, -2)
+
+
+@pytest.mark.parametrize("runs", [((2, 1), (2, 1)), ((3, 2), (2, 0)), ((2, 0),), ()],
+                         ids=["not-maximal", "zero-count", "only-zero-count", "empty"])
+def test_runs_must_be_maximal_with_positive_counts(runs):
+    # one sequence of runs per expansion: equality and `is_palindrome`
+    # compare runs
+    with pytest.raises(BadInput):
+        ContFrac(runs, Flavor.POSITIVE)
 
 
 def test_bad_pq_rejected():

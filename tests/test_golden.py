@@ -69,6 +69,15 @@ GOLDEN = [
      "6687808730ad94aceaeb4b481571718e746bc72c3fce8d2ac8bdd004d2a65d7e"),
     ("verify --relations --format text",
      "34f288696affbf837358b2a5bb9578b1e54b6c0ba804e2905d11568ca5524a03"),
+    # 984/655 = [2, 3, 2 x 107, 3, 2]: the middle cuts an odd run of 2s, so
+    # the word's left half ends inside the run
+    ("lens --p 984 --q 655 --variant C",
+     "c6ec16291bd056d6fa5250c91a84ddc64217ba796ff2af8443fbbdaf42f9643b"),
+    ("lens --p 984 --q 655 --variant C'",
+     "ef613a3a7cb0aa8958060c79f87e84a3cc23ba584b50ebe740b64dba1bc37c19"),
+    # the largest word allowed: 10,001 factors in three runs
+    ("lens --p 10000 --q 9999 --variant C",
+     "0ee4c40749e83adfe5e4d20a2b4da6aa83be2a8f216dc3ec259839219ff08569"),
 ]
 
 

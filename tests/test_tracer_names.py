@@ -16,6 +16,7 @@ import eqsurg.cli
 import eqsurg.lens
 import eqsurg.matrices
 import eqsurg.words
+from eqsurg.lens import Variant, admissible_pairs, build
 
 _TRACER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                        "perfbench", "tracer.py")
@@ -64,3 +65,15 @@ def test_fix_build_runs_one_pass_under_the_tracer():
     assert metrics["words.eval_word.calls"] == 1
     assert metrics["lens.assemble_ratio"] == 1.0
     assert metrics["words.fix_rule.hit_ratio"] == 1.0
+
+
+def test_census_counts_one_build_and_the_flat_factors_per_row():
+    # the benchmark's gauge rebinds `eqsurg.cli.build`, so the census must
+    # look `build` up by that name once per row; and a word held as runs
+    # must still count its flat factors
+    rows = [(p, q, v) for p, q in admissible_pairs(20) for v in (Variant.C, Variant.C_PRIME)]
+    metrics = _traced(["census", "--max-p", "20"])
+    assert metrics["lens.build.calls"] == len(rows)
+    assert metrics["words.eval_word.factors"] == sum(
+        len(build(p, q, v).word.factors) for p, q, v in rows
+    )

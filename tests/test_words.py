@@ -138,7 +138,7 @@ def test_zero_exponent_rejected():
 ], ids=["zero-exponent", "wrong-length", "genus-0", "zero-first", "length-first"])
 def test_word_defect_messages(factors, genus, text):
     with pytest.raises(WordError, match=f"^{text}$"):
-        TwistWord(factors, genus=genus)
+        TwistWord.of(factors, genus=genus)
 
 
 def test_parse_format_roundtrip():
@@ -267,7 +267,7 @@ def test_shape_mutation_is_detected(seed):
     delta = rng.choice([-1, 1])
     if e + delta == 0:
         delta = -1 if e < 0 else 1
-    mutated = TwistWord(
+    mutated = TwistWord.of(
         w.factors[:idx]
         + ((curve, e + delta),)
         + w.factors[idx + 1 :],
@@ -392,13 +392,13 @@ def test_shape_mirror_walk_slices(left, middle_curve, middle_exps, mutation):
     # at genus 1 the cst-invariant curves are a+b and a-b, and two distinct
     # curves always intersect
     if mid_curves <= {CURVE_APB} or mid_curves <= {CURVE_AMB}:
-        shape = validate_equivariant_shape(TwistWord(fs, CST))
+        shape = validate_equivariant_shape(TwistWord.of(fs, CST))
         assert shape.outer == fs[:t]
         assert shape.middle == fs[t:n - t]
         assert shape.mirror == fs[n - t:]
     else:
         with pytest.raises(ShapeError):
-            validate_equivariant_shape(TwistWord(fs, CST))
+            validate_equivariant_shape(TwistWord.of(fs, CST))
 
 
 # --- recursive invariance ----------------------------------------------------
