@@ -390,9 +390,10 @@ def cmd_factor_palindrome(args) -> int:
         except (OSError, ValueError) as exc:  # ValueError: not valid text
             raise UsageError(f"cannot read involution matrix: {exc}") from None
         s = _parse_matrix(text, "cannot read involution matrix")
-    fs = word.factors
     try:
-        result = factor_palindrome([c for c, _ in fs], [e for _, e in fs], s)
+        result = factor_palindrome(
+            [c for c, _ in word.factors], [e for _, e in word.factors], s
+        )
     except WordError as exc:
         print(f"inadmissible: {exc}", file=sys.stderr)
         return EXIT_INADMISSIBLE

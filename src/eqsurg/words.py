@@ -9,8 +9,8 @@ evaluates to M(g_k) @ ... @ M(g_1).
 A word is held as runs (block, k): a tuple of factors repeated k times.
 `TwistWord.factors` is the flat view, built on each read; `format_word`
 and the shape's outer and mirrored parts read it.  The checks walk the
-runs instead: `eval_word` raises each block's matrix to its power by
-repeated squaring, the shape pairs whole runs from both ends, and the
+runs instead: at genus 1 `eval_word` raises each block's matrix to its
+power by repeated squaring, the shape pairs whole runs from both ends, and the
 fix-rule scan reads three copies of a long run.  A word from
 `TwistWord.of` is one run, so a general word is walked factor by factor.
 
@@ -27,7 +27,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import chain
-from operator import matmul
 from typing import Optional, Sequence
 
 from .matrices import (
@@ -169,40 +168,39 @@ def _mul2(m: tuple, n: tuple) -> tuple:
     return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
 
 
-def _power(m, k: int, mul):
-    """m**k for k >= 1 by repeated squaring under the product `mul`."""
+def _power(m: tuple, k: int) -> tuple:
+    """The genus-1 matrix m = (a, b, c, d) to the power k >= 1, by
+    repeated squaring."""
     result = None
     while True:
         if k & 1:
-            result = m if result is None else mul(result, m)
+            result = m if result is None else _mul2(result, m)
         k >>= 1
         if not k:
             return result
-        m = mul(m, m)
+        m = _mul2(m, m)
 
 
 def eval_word(w: TwistWord) -> IntMatrix:
-    """The word's matrix, multiplied out from its own factors: a run
-    (block, k) with k > 1 as the block's product raised to the k-th
-    power, a run with k = 1 factor by factor."""
+    """The word's matrix, multiplied out from its own factors.  At genus 1
+    a run (block, k) with k > 1 is the block's product raised to the
+    k-th power and a run with k = 1 goes factor by factor; at genus >= 2,
+    where every word is one run with k = 1, the flat factors go one by
+    one."""
     if w.genus == 1:
         m = (1, 0, 0, 1)
         for block, k in w.runs:
             if k == 1:
                 m = _twist2(m, block)
             else:
-                m = _mul2(m, _power(_twist2((1, 0, 0, 1), block), k, _mul2))
+                m = _mul2(m, _power(_twist2((1, 0, 0, 1), block), k))
         a, b, c, d = m
         if w.base is not None:  # the product with CST swaps the columns
             a, b, c, d = b, a, d, c
         return IntMatrix(((a, b), (c, d)))
-    one = IntMatrix.identity(2 * w.genus)  # no word carries a base at genus >= 2
-    m = one
-    for block, k in w.runs:
-        b = m if k == 1 else one
-        for curve, e in block:
-            b = b.twist(curve, e)
-        m = b if k == 1 else m @ _power(b, k, matmul)
+    m = IntMatrix.identity(2 * w.genus)  # no word carries a base at genus >= 2
+    for curve, e in w.factors:
+        m = m.twist(curve, e)
     return m
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import pytest
 
 from eqsurg.contfrac import ContFrac
-from eqsurg.lens import Variant, admissible_pairs, build, factor_C, factor_Cprime
+from eqsurg.lens import Variant, build, factor_C
 from eqsurg.matrices import IntMatrix
 from eqsurg.words import (
     CST,
@@ -201,25 +201,22 @@ def test_words_with_the_same_factors_are_equal():
         TwistWord(((block, 0),))
 
 
-def test_lens_words_evaluate_like_their_flat_factors_up_to_500():
-    # every word of the census at p <= 500, multiplied out factor by factor;
-    # a q = p - 1 word is at most three runs however long it is
-    for p, q in admissible_pairs(500):
-        for factor in (factor_C, factor_Cprime):
-            w = factor(p, q)
-            assert eval_word(w) == product_flat(w.factors, CST, 1), (p, q)
-            if q == p - 1:
-                assert len(w.runs) <= 3, (p, q)
-
-
-def test_build_and_census_row_read_no_flat_view(monkeypatch):
+@pytest.mark.parametrize("p, variant, layout", [
+    (1000, Variant.C, [(2, 249), (5, 1), (2, 249)]),
+    (1001, Variant.C, [(2, 250), (2, 250)]),
+    (1001, Variant.C_PRIME, [(2, 250), (6, 1), (2, 250)]),
+    (10001, Variant.C, [(2, 2500), (2, 2500)]),
+    (10001, Variant.C_PRIME, [(2, 2500), (6, 1), (2, 2500)]),
+])
+def test_build_and_census_row_read_no_flat_view(monkeypatch, p, variant, layout):
     # a build of L(p, p - 1) and its census row walk runs only: neither the
-    # word's flat factors nor the expansion's flat terms are built
+    # word's flat factors nor the expansion's flat terms are built, and the
+    # word is at most three runs however long it is
     for cls, name in ((TwistWord, "factors"), (ContFrac, "terms")):
         monkeypatch.setattr(cls, name, property(lambda self, name=name: pytest.fail(name)))
-    report = build(10001, 10000, Variant.C)
+    report = build(p, p - 1, variant)
     assert report.matrix_ok and report.shape_ok
     report.census_row()
     monkeypatch.undo()
-    assert [k for _, k in report.cf.runs] == [10000]
-    assert [(len(block), k) for block, k in report.word.runs] == [(2, 2500), (2, 2500)]
+    assert [k for _, k in report.cf.runs] == [p - 1]
+    assert [(len(block), k) for block, k in report.word.runs] == layout
