@@ -14,7 +14,14 @@ from math import gcd
 from typing import Union
 
 from .matrices import CurveClass
-from .surgery import SurgeryDiagram, SurgeryKnot, TorusType, heegaard_minus_seifert
+from .surgery import (
+    SurgeryDiagram,
+    SurgeryKnot,
+    TorusType,
+    heegaard_minus_seifert,
+    knot_type_under_cst,
+)
+from .words import CURVE_AMB, CURVE_APB
 
 
 class ContactError(ValueError):
@@ -31,6 +38,8 @@ class RunList(list):
     def __init__(self, runs: list):
         self.runs = runs
         for item, k in runs:
+            if k < 1:
+                raise ValueError(f"a run holds its item at least once, got {k}")
             self += [item] * k
 
 
@@ -182,13 +191,28 @@ def _knot_data(knot: SurgeryKnot) -> ContactKnotData:
     return ContactKnotData(tw, tb, cc, verdict)
 
 
+# The data of every invariant knot that `surgery.word_to_diagram` makes: a
+# unit surgery on a+b or a-b, whose torus type is known under the standard
+# involution.  Computed once, at import, by `_knot_data` itself.
+_INVARIANT_DATA = {
+    (k.curve, k.coeff, k.torus_type): _knot_data(k)
+    for k in (SurgeryKnot(0, curve, coeff, knot_type_under_cst(curve))
+              for curve in (CURVE_APB, CURVE_AMB) for coeff in (1, -1))
+}
+
+
 def legalize(d: SurgeryDiagram) -> ContactDiagram:
     """Promote a surgery diagram to a contact one.
 
     Invariant knots are classified through the glue-back table, one
-    verdict per knot of `d.knots`, which covers all `count` copies.
-    Mirrored pair knots only need Legendrian representatives respecting
-    the pairing, so they are always legal; their framing data is computed
-    when the documents read `ContactDiagram.entries`.
+    verdict per knot of `d.knots`, which covers all `count` copies; the
+    data of a knot the pipeline makes is read from `_INVARIANT_DATA`, and
+    any other knot's is computed.  Mirrored pair knots only need
+    Legendrian representatives respecting the pairing, so they are always
+    legal; their framing data is computed when the documents read
+    `ContactDiagram.entries`.
     """
-    return ContactDiagram(d, tuple(_knot_data(knot) for knot in d.knots))
+    return ContactDiagram(d, tuple(
+        _INVARIANT_DATA.get((knot.curve, knot.coeff, knot.torus_type)) or _knot_data(knot)
+        for knot in d.knots
+    ))

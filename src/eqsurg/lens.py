@@ -247,7 +247,13 @@ class BuildReport:
         return [] if self.contact is None else self.contact.flags()
 
     def census_row(self) -> dict:
-        """The verdicts without the diagrams, plus the expansion case n = 4k + r."""
+        """The verdicts without the diagrams, plus the expansion case n = 4k + r.
+
+        The contact diagram and its flags are read once: a diagram is legal
+        exactly when its flags have no run, one run per illegal knot.
+        """
+        contact = self.contact
+        flags = [] if contact is None else contact.flags()
         n = len(self.cf)
         return {
             "p": self.target.p,
@@ -255,10 +261,10 @@ class BuildReport:
             "variant": self.target.variant.value,
             "case": f"n={n} (4k+{n % 4})",
             "matrix_ok": self.matrix_ok,
-            "shape_ok": self.shape_ok,
-            "legal": self.legal,
+            "shape_ok": contact is not None,
+            "legal": contact is not None and not flags.runs,
             "fix_rule_applied": self.fix_rule_applied,
-            "flags": self.flags,
+            "flags": flags,
         }
 
     def to_json_dict(self) -> dict:

@@ -131,6 +131,10 @@ class SurgeryKnot:
     torus_type: Optional[TorusType] = None
     count: int = 1
 
+    def __post_init__(self):
+        if self.count < 1:
+            raise SurgeryError(f"a knot stands for at least one copy, got {self.count}")
+
     @property
     def labels(self) -> tuple[str, ...]:
         """The label "5" for a pair knot, else the "i_j" labels of its torus type."""

@@ -15,9 +15,12 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from eqsurg import cli
 from eqsurg.cli import main
+from eqsurg.contact import RunList
 from eqsurg.lens import Variant, admissible_pairs, build
 
 
@@ -81,6 +84,39 @@ def test_streamed_census_exit_code_after_last_row(capsys, monkeypatch):
     assert capsys.readouterr().out == whole_json(7, rows)
     assert main(["census", "--max-p", "7", "--format", "text"]) == 1
     assert capsys.readouterr().out == whole_text(rows)
+
+
+_TEXT = st.text() | st.sampled_from(["", "\"", "\\", "\x00\x1f\n\t\"\\/", "\u2028", "é", "\U0001f600"])
+_FLAGS = st.lists(_TEXT, max_size=5)
+# the keys of `BuildReport.census_row`, in its order
+_ROWS = st.tuples(
+    st.integers(min_value=0),
+    st.integers(min_value=0),
+    _TEXT,
+    _TEXT,
+    st.booleans(),
+    st.booleans(),
+    st.booleans(),
+    st.booleans(),
+    _FLAGS
+    | _FLAGS.map(lambda fs: RunList([(f, 1) for f in fs]))
+    | st.lists(st.tuples(_TEXT, st.integers(1, 3)), max_size=3).map(RunList),
+).map(lambda values: dict(zip(
+    ("p", "q", "variant", "case", "matrix_ok", "shape_ok", "legal", "fix_rule_applied", "flags"),
+    values,
+)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ROWS, st.sampled_from(["\n    ", ",\n    "]))
+@example(build(7, 1, Variant.C).census_row(), "\n    ")  # a PositiveC4Middle run of 6
+@example(build(3, 2, Variant.C_PRIME).census_row(), ",\n    ")
+def test_json_row_template_matches_encode(row, lead):
+    # the census row template writes its lead, then what the general
+    # encoder writes for the row at its depth in the document
+    out = [lead]
+    cli._encode(row, "    ", out)
+    assert cli._json_row(row, lead) == "".join(out)
 
 
 # Measured on a 2-vCPU Xeon VM with Python 3.11: 17.7 MB streamed, where

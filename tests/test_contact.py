@@ -11,6 +11,7 @@ from eqsurg.contact import (
     IllegalReason,
     RunList,
     Slope,
+    _INVARIANT_DATA,
     _knot_data,
     contact_coefficient,
     contact_glueback,
@@ -19,7 +20,7 @@ from eqsurg.contact import (
     tight_solid_torus_exists,
     tw_wrt_heegaard,
 )
-from eqsurg.lens import Variant, build, diagram_documents
+from eqsurg.lens import Variant, admissible_pairs, build, diagram_documents
 from eqsurg.matrices import CurveClass
 from eqsurg.surgery import (
     SurgeryDiagram,
@@ -31,6 +32,7 @@ from eqsurg.surgery import (
 )
 from eqsurg.words import (
     CST,
+    CURVE_AMB,
     CURVE_APB,
     EquivariantShape,
     TwistWord,
@@ -253,12 +255,15 @@ def test_knot_lists_and_flags_are_run_lists(p, variant):
             assert sum(item is doc for item in docs) == n
 
 
-@pytest.mark.parametrize("curve, ttype, coeff, reason, contact_coeff", [
+_ILLEGAL_REASONS = [
     ((1, 0), TorusType.C1, -1, "NoSlope", "+0"),
     ((1, 2), TorusType.C1, -1, "NotUnitNumerator", "+2"),
     ((1, 1), TorusType.C3, 1, "C3Knot", "+3"),
     ((1, 1), TorusType.C4, 1, "PositiveC4Middle", "+3"),
-])
+]
+
+
+@pytest.mark.parametrize("curve, ttype, coeff, reason, contact_coeff", _ILLEGAL_REASONS)
 def test_every_illegal_reason_reaches_the_documents(curve, ttype, coeff, reason, contact_coeff):
     # one hand-built invariant run of two knots per reason
     knot = SurgeryKnot(0, CurveClass(curve), coeff, ttype, 2)
@@ -275,3 +280,61 @@ def test_every_illegal_reason_reaches_the_documents(curve, ttype, coeff, reason,
     }
     assert doc["overall_legal"] is False
     assert c.flags() == [reason, reason] and c.flags().runs == [(reason, 2)]
+
+
+@pytest.fixture(scope="module")
+def census_500():
+    """The build of every census row at p <= 500."""
+    return [build(p, q, v) for p, q in admissible_pairs(500) for v in (Variant.C, Variant.C_PRIME)]
+
+
+def test_invariant_table_is_knot_data_of_its_keys(census_500):
+    # the four unit surgeries on a+b (c4) and a-b (c1), each the data
+    # `_knot_data` computes, and every census build's data equals the
+    # computed data of its knots, all of which the table holds
+    assert set(_INVARIANT_DATA) == {
+        (curve, coeff, ttype)
+        for curve, ttype in ((CURVE_APB, TorusType.C4), (CURVE_AMB, TorusType.C1))
+        for coeff in (1, -1)
+    }
+    for (curve, coeff, ttype), data in _INVARIANT_DATA.items():
+        assert data == _knot_data(SurgeryKnot(0, curve, coeff, ttype))
+    for report in census_500:
+        d = report.contact.base
+        assert legalize(d).knot_data == tuple(_knot_data(k) for k in d.knots)
+        assert all((k.curve, k.coeff, k.torus_type) in _INVARIANT_DATA for k in d.knots)
+
+
+def _assert_legal_iff_no_flag_runs(report):
+    contact, row = report.contact, report.census_row()
+    assert report.legal == (report.shape_ok and not report.flags.runs)
+    assert contact.overall_legal == (not contact.flags().runs)
+    assert (row["shape_ok"], row["legal"], row["flags"]) == (
+        report.shape_ok, report.legal, report.flags)
+
+
+def test_legal_iff_no_flag_runs_on_the_census(census_500):
+    assert all(r.shape_ok for r in census_500)
+    assert {r.legal for r in census_500} == {True, False}
+    for report in census_500:
+        _assert_legal_iff_no_flag_runs(report)
+
+
+@pytest.mark.parametrize("knots", [
+    *[[SurgeryKnot(0, CurveClass(curve), coeff, ttype, 2)]
+      for curve, ttype, coeff, _, _ in _ILLEGAL_REASONS],
+    # a legal run before an illegal one, and a legal run alone
+    [SurgeryKnot(0, CURVE_AMB, -1, TorusType.C1, 3),
+     SurgeryKnot(0, CURVE_APB, 1, TorusType.C4, 1)],
+    [SurgeryKnot(0, CURVE_AMB, 1, TorusType.C1, 2)],
+])
+def test_legal_iff_no_flag_runs_on_hand_built_diagrams(knots):
+    contact = legalize(SurgeryDiagram(tuple(knots)))
+    report = dataclasses.replace(build(7, 1, Variant.C), contact=contact)
+    _assert_legal_iff_no_flag_runs(report)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_run_list_refuses_a_run_of_fewer_than_one(k):
+    with pytest.raises(ValueError, match=f"^a run holds its item at least once, got {k}$"):
+        RunList([("y", 2), ("x", k)])

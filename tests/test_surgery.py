@@ -9,6 +9,7 @@ from eqsurg.lens import diagram_documents
 from eqsurg.matrices import CurveClass
 from eqsurg.surgery import (
     SurgeryError,
+    SurgeryKnot,
     SurgerySpec,
     TorusType,
     extension_type,
@@ -139,6 +140,14 @@ def test_heegaard_minus_seifert():
     assert heegaard_minus_seifert(CurveClass.of(1, 1)) == 1
     assert heegaard_minus_seifert(CurveClass.of(1, 0)) == 0
     assert heegaard_minus_seifert(CurveClass.of(1, -1)) == -1
+
+
+@pytest.mark.parametrize("count", [0, -1, -5])
+def test_surgery_knot_refuses_fewer_than_one_copy(count):
+    with pytest.raises(SurgeryError, match=f"^a knot stands for at least one copy, got {count}$"):
+        SurgeryKnot(0, CurveClass.of(1, 1), 1, TorusType.C4, count)
+    with pytest.raises(SurgeryError):
+        SurgeryKnot(1, CurveClass.of(1, 0), -1, count=count)  # a pair knot
 
 
 def test_knot_type_table():
