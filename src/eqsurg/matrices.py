@@ -5,9 +5,9 @@ is verified against the operations in this module, so all arithmetic is
 arbitrary-precision integer arithmetic; there is no floating point
 anywhere.  Each inner product runs as `sum(map(mul, ...))` over Python
 ints, so the per-entry loop is C iteration, not bytecode.  The
-real-structure checks build no product matrix: an involution is checked
-row by row against the identity, an anti-symplectic map by the pairings
-of its columns.
+real-structure checks build no product matrix: an anti-symplectic map is
+checked by the pairings of its columns, and such a map is an involution
+iff it equals J a^T J entry by entry.
 """
 
 from __future__ import annotations
@@ -193,3 +193,18 @@ def is_anti_symplectic(a: IntMatrix) -> bool:
             if pairing != -(j == i + g):
                 return False
     return True
+
+
+def is_real_structure(a: IntMatrix) -> bool:
+    """True iff a is an anti-symplectic involution.  a^T J a = -J gives
+    a^-1 = J a^T J, so such an a is an involution iff a = J a^T J: in g x g
+    blocks [[P, Q], [R, S]], P = -S^T and Q, R symmetric.  No product is
+    computed."""
+    g, rows = a.genus, a.rows
+    cols = list(zip(*rows))
+    return is_anti_symplectic(a) and all(
+        rows[i][:g] == tuple([-x for x in cols[g + i][g:]])
+        and rows[i][g:] == cols[g + i][:g]
+        and rows[g + i][:g] == cols[i][g:]
+        for i in range(g)
+    )

@@ -19,7 +19,8 @@ equality of primitive classes up to sign.
 
 At genus 1 `eval_word` multiplies by `CST` as a column swap of its four
 integer locals, and `CST_IMAGES` holds the image under `CST` of each
-named curve, computed once at import.
+named curve, computed once at import.  At genus >= 2 neither `eval_word`
+nor `factor_palindrome` multiplies matrices: twists act on vectors.
 """
 
 from __future__ import annotations
@@ -27,14 +28,15 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import chain
+from operator import add, mul
 from typing import Optional, Sequence
 
 from .matrices import (
     CurveClass,
     IntMatrix,
     SymplecticForm,
-    is_anti_symplectic,
     is_involution,
+    is_real_structure,
     transvection,
 )
 
@@ -69,7 +71,7 @@ def _check_real_structure(s: IntMatrix, genus: int) -> None:
     """Raise WordError unless `s` is an anti-symplectic involution at `genus`."""
     if s.genus != genus:
         raise WordError(f"s acts at genus {s.genus} but the word lies at genus {genus}")
-    if not (is_involution(s) and is_anti_symplectic(s)):
+    if not is_real_structure(s):
         raise WordError("s must be an anti-symplectic involution")
 
 
@@ -162,6 +164,17 @@ def _twist2(m: tuple, block: tuple[Factor, ...]) -> tuple:
     return a, b, c, d
 
 
+def _shear(v: tuple, e: int, x: Sequence[int], y: Sequence[int]) -> tuple:
+    """v + e (v . x) y, or v itself when v . x = 0."""
+    k = e * sum(map(mul, v, x))
+    return tuple(map(add, v, [k * t for t in y])) if k else v
+
+
+def _dual(c: tuple, g: int) -> list:
+    """The row w with w . x = <c, x>: the twist along c is x + e <c, x> c."""
+    return [-x for x in c[g:]] + list(c[:g])
+
+
 def _mul2(m: tuple, n: tuple) -> tuple:
     a, b, c, d = m
     e, f, g, h = n
@@ -184,9 +197,10 @@ def _power(m: tuple, k: int) -> tuple:
 def eval_word(w: TwistWord) -> IntMatrix:
     """The word's matrix, multiplied out from its own factors.  At genus 1
     a run (block, k) with k > 1 is the block's product raised to the
-    k-th power and a run with k = 1 goes factor by factor; at genus >= 2,
-    where every word is one run with k = 1, the flat factors go one by
-    one."""
+    k-th power and a run with k = 1 goes factor by factor.  At genus >= 2,
+    where every word is one run with k = 1, each row of the identity goes
+    through the flat factors, row <- row + e (row . c) w with w the dual
+    of c, and the rows make one matrix at the end."""
     if w.genus == 1:
         m = (1, 0, 0, 1)
         for block, k in w.runs:
@@ -198,10 +212,14 @@ def eval_word(w: TwistWord) -> IntMatrix:
         if w.base is not None:  # the product with CST swaps the columns
             a, b, c, d = b, a, d, c
         return IntMatrix(((a, b), (c, d)))
-    m = IntMatrix.identity(2 * w.genus)  # no word carries a base at genus >= 2
-    for curve, e in w.factors:
-        m = m.twist(curve, e)
-    return m
+    g = w.genus  # no word carries a base at genus >= 2
+    twists = [(e, c.coords, _dual(c.coords, g)) for c, e in w.factors]
+    rows = []
+    for row in IntMatrix.identity(2 * g).rows:
+        for e, c, dual in twists:
+            row = _shear(row, e, c, dual)
+        rows.append(row)
+    return IntMatrix(tuple(rows))
 
 
 def curve_name(curve: CurveClass) -> str:
@@ -482,7 +500,8 @@ def factor_palindrome(
     with r_1 = a_1 and r_{j+1} the image of a_{j+1} under the prefix
     tau_{a_1}^{s_1} ... tau_{a_j}^{s_j}.  It evaluates to the same matrix
     as tau_{a_1}^{s_1}..tau_{a_w}^{s_w} tau_{a_w}^{s_w}..tau_{a_1}^{s_1}
-    and is recursively invariant against s.
+    and is recursively invariant against s.  No prefix matrix is kept:
+    a_{j+1} goes through v -> v + s_i <a_i, v> a_i for i = j, ..., 1.
     """
     if len(curves) != len(exps):
         raise WordError("curves and exponents must have equal length")
@@ -490,15 +509,19 @@ def factor_palindrome(
         raise WordError("palindrome factorization needs at least one curve")
     genus = curves[0].genus
     _check_real_structure(s, genus)
-    prefix = IntMatrix.identity(2 * genus)
+    done: list[tuple[int, list, tuple]] = []  # (s_i, dual of a_i, a_i) so far
     squared: list[tuple[CurveClass, int]] = []
     for a_j, sigma in zip(curves, exps):
-        if a_j.image_under(s) != a_j:
+        a = a_j.coords
+        image = s.apply(a)  # s is unimodular: s a = +-a iff s fixes the curve
+        if image != a and image != tuple([-x for x in a]):
             raise WordError(f"input curve {curve_name(a_j)} is not invariant under s")
-        r_j = a_j.image_under(prefix)  # primitive: prefix is unimodular
-        squared.append((r_j, 2 * sigma))
-        prefix = prefix.twist(a_j, sigma)
-    return TwistWord.of(list(reversed(squared)), base=None, genus=genus)
+        v = a
+        for e, dual, c in reversed(done):
+            v = _shear(v, e, dual, c)
+        squared.append((CurveClass.from_coords(v), 2 * sigma))  # twists keep v primitive
+        done.append((sigma, _dual(a, genus), a))
+    return TwistWord.of(squared[::-1], base=None, genus=genus)
 
 
 # ---------------------------------------------------------------------------

@@ -129,13 +129,22 @@ def random_anti_symplectic(genus: int, rng: random.Random) -> IntMatrix:
     return s
 
 
-def random_invariant_curve(s: IntMatrix, genus: int, rng: random.Random) -> CurveClass:
-    """A primitive curve class fixed by s (via x +- s(x) projections)."""
+def random_invariant_curve(
+    s: IntMatrix, genus: int, rng: random.Random, sign: int | None = None
+) -> CurveClass:
+    """A primitive curve class fixed by s (via x +- s(x) projections).
+
+    x + s(x) is tried first, so without `sign` the curve almost always
+    lies in the +1 eigenspace of s.  That eigenspace is Lagrangian, so
+    such curves pair to 0 and their twists commute.  `sign` = -1 picks the
+    -1 eigenspace instead; curves drawn from both do not commute.
+    """
+    signs = (1, -1) if sign is None else (sign,)
     for _ in range(500):
         x = [rng.randint(-3, 3) for _ in range(2 * genus)]
         img = s.apply(x)
-        for sign in (1, -1):
-            v = [a + sign * b for a, b in zip(x, img)]
+        for t in signs:
+            v = [a + t * b for a, b in zip(x, img)]
             if any(v):
                 c = primitive(v)
                 if c.image_under(s) == c:

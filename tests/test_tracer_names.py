@@ -77,3 +77,11 @@ def test_census_counts_one_build_and_the_flat_factors_per_row():
     assert metrics["words.eval_word.factors"] == sum(
         len(build(p, q, v).word.factors) for p, q, v in rows
     )
+
+
+def test_factor_palindrome_runs_under_the_tracer():
+    # the tracer rebinds `cli.parse_word` and `cli.factor_palindrome`, the
+    # two library stages of the palindrome workload
+    metrics = _traced(["factor-palindrome", "--curves", "(a+b)^1 (a-b)^-2"])
+    assert metrics["words.factor_palindrome.self_s"] > 0
+    assert metrics["words.parse_word.self_s"] > 0

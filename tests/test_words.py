@@ -35,7 +35,9 @@ from conftest import (
     matmul_reference,
     primitive,
     random_anti_symplectic,
+    random_curve,
     random_invariant_curve,
+    real_structure_reference,
     swap_involution,
 )
 
@@ -89,6 +91,35 @@ def test_genus1_eval_takes_coordinate_signs():
     assert eval_word(tw((minus_a, 3), (minus_b, -5))) == eval_word(
         tw((CURVE_A, 3), (CURVE_B, -5))
     )
+
+
+def _higher_genus_curves(g: int) -> st.SearchStrategy:
+    """Basis curves, whose pairing with most rows is 0, and primitive
+    vectors with entries in [-3, 3]."""
+    basis = [CurveClass.from_coords([int(i == j) for j in range(2 * g)]) for i in range(2 * g)]
+    vectors = st.lists(st.integers(-3, 3), min_size=2 * g, max_size=2 * g).filter(any)
+    return st.sampled_from(basis) | vectors.map(primitive)
+
+
+@st.composite
+def higher_genus_words(draw) -> TwistWord:
+    g = draw(st.integers(2, 4))
+    exponents = st.sampled_from([-10**6, -3, -2, -1, 1, 2, 3, 10**6])
+    factors = draw(st.lists(st.tuples(_higher_genus_curves(g), exponents), max_size=12))
+    return TwistWord.of(factors, genus=g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(higher_genus_words())
+@example(TwistWord.of([(CurveClass.of(1, 0, 0, 0), 5), (CurveClass.of(0, 1, 1, 0), -2)], genus=2))
+def test_higher_genus_eval_matches_transvection_product(w):
+    # eval_word takes each row through the factors and keeps a row whose
+    # product with the curve is 0; the reference multiplies the matrices
+    form = SymplecticForm(w.genus)
+    expected = IntMatrix.identity(2 * w.genus)
+    for curve, e in w.factors:
+        expected = expected @ transvection(curve, e, form)
+    assert eval_word(w) == expected
 
 
 def test_base_is_rightmost_factor():
@@ -495,6 +526,36 @@ def test_real_structure_checked_alike(s, text):
         factor_palindrome([CURVE_APB], [1], s)
 
 
+_NOT_REAL = "^s must be an anti-symplectic involution$"
+
+
+@pytest.mark.parametrize("g", [2, 3, 4])
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6))
+def test_real_structure_checked_at_higher_genus(g, seed):
+    # a random conjugate of the block swap passes; s T_c with s c != +-c is
+    # anti-symplectic but (s T_c)^2 = T_{sc}^-1 T_c != I, and the identity
+    # is an involution but symplectic; both fail with one error text
+    rng = random.Random(seed)
+    s = random_anti_symplectic(g, rng)
+    a = random_invariant_curve(s, g, rng)
+    word = TwistWord.of([(a, 1)], genus=g)
+    assert validate_recursive_invariance(word, s)["all_ok"]
+    factor_palindrome([a], [1], s)
+    c = random_curve(g, rng)
+    while c.image_under(s) == c:
+        c = random_curve(g, rng)
+    not_involution = s @ transvection(c, rng.choice([-2, -1, 1, 2]), SymplecticForm(g))
+    identity = IntMatrix.identity(2 * g)
+    assert real_structure_reference(not_involution) == (False, True)
+    assert real_structure_reference(identity) == (True, False)
+    for bad in (not_involution, identity):
+        with pytest.raises(WordError, match=_NOT_REAL):
+            validate_recursive_invariance(word, bad)
+        with pytest.raises(WordError, match=_NOT_REAL):
+            factor_palindrome([a], [1], bad)
+
+
 # --- palindrome factorization ------------------------------------------------
 
 
@@ -524,7 +585,7 @@ def test_factor_palindrome_random(seed):
     g = rng.randint(1, 3)
     s = random_anti_symplectic(g, rng)
     w = rng.randint(1, 6)
-    curves = [random_invariant_curve(s, g, rng) for _ in range(w)]
+    curves = [random_invariant_curve(s, g, rng, rng.choice([1, -1])) for _ in range(w)]
     exps = [rng.choice([e for e in range(-3, 4) if e]) for _ in range(w)]
     out = factor_palindrome(curves, exps, s)
     form = SymplecticForm(g)
@@ -535,6 +596,36 @@ def test_factor_palindrome_random(seed):
         pal = pal @ transvection(c, e, form)
     assert eval_word(out) == pal
     assert validate_recursive_invariance(out, s)["all_ok"]
+
+
+def factor_palindrome_reference(curves, exps, s) -> TwistWord:
+    """The prefix-matrix algorithm: r_j is a_j's image under the prefix
+    tau_{a_1}^{s_1} ... tau_{a_{j-1}}^{s_{j-1}}, kept as a matrix and
+    extended by `IntMatrix.twist`."""
+    genus = curves[0].genus
+    prefix = IntMatrix.identity(2 * genus)
+    squared = []
+    for a, sigma in zip(curves, exps):
+        assert a.image_under(s) == a
+        squared.append((a.image_under(prefix), 2 * sigma))
+        prefix = prefix.twist(a, sigma)
+    return TwistWord.of(squared[::-1], genus=genus)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.integers(min_value=0, max_value=10**6),
+    st.lists(st.sampled_from([-10**6, -3, -2, -1, 1, 2, 3, 10**6]), min_size=1, max_size=8),
+)
+def test_factor_palindrome_matches_prefix_matrix(g, seed, exps):
+    rng = random.Random(seed)
+    s = random_anti_symplectic(g, rng)
+    # both eigenspaces of s, so that the twists do not commute and r_j != a_j
+    curves = [random_invariant_curve(s, g, rng, rng.choice([1, -1])) for _ in exps]
+    out = factor_palindrome(curves, exps, s)
+    assert out.factors == factor_palindrome_reference(curves, exps, s).factors
+    assert out.genus == g and out.base is None
 
 
 # --- fix rule ----------------------------------------------------------------
