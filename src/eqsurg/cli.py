@@ -63,10 +63,9 @@ MAX_GENUS = 100
 # output would exhaust memory.
 MAX_P = 10_000
 
-# The census scans O(max_p^2) pairs before its first build and prints
-# about 67 MB at max_p = 2000 (1.3-1.5 s as a subprocess on a 2-vCPU VM
-# with Python 3.11); past this bound it would run for hours and print
-# gigabytes.
+# The census output grows about fourfold each time max_p doubles: it
+# prints about 67 MB at max_p = 2000 (1.0-1.2 s as a subprocess on a
+# 2-vCPU VM with Python 3.11); past this bound it would print gigabytes.
 MAX_CENSUS_P = 2_000
 
 
@@ -488,21 +487,32 @@ def build_parser() -> _Parser:
     add_format(p_fp)
     p_fp.set_defaults(func=cmd_factor_palindrome)
 
+    parser.commands = sub.choices  # name -> the parser it dispatches to
     return parser
 
 
 # Built once per process: building costs about 1.2 ms, more than half of a
 # small command, and parsing leaves the parser unchanged (each call makes a
-# fresh Namespace; `_Parser.error` raises).  The `cmd_*` functions it binds
+# fresh Namespace; `_Parser.error` raises).  When the first argument names
+# a command, `main` parses the rest with that command's parser, the one the
+# top-level parser would hand them to, so they are parsed once; any other
+# argv (none, an unknown command, `-h`) goes through the top-level parser
+# for its usage text and errors.  The `cmd_*` functions the parsers bind
 # look up `build`, `parse_word`, ... by module name when they run.
 _PARSER = build_parser()
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = _PARSER.parse_args(argv)
-        if not getattr(args, "command", None):
-            raise UsageError("a command is required")
+        command = _PARSER.commands.get(argv[0]) if argv else None
+        if command is not None:
+            args = command.parse_args(argv[1:])
+        else:
+            args = _PARSER.parse_args(argv)
+            if not getattr(args, "command", None):
+                raise UsageError("a command is required")
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

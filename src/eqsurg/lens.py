@@ -77,16 +77,40 @@ class LensTarget:
 
 
 def admissible_pairs(max_p: int) -> list[tuple[int, int]]:
-    """All (p, q) with 2 <= p <= max_p, 0 < q < p, q^2 = 1 mod p.
+    """All (p, q) with 2 <= p <= max_p, 0 < q < p, q^2 = 1 mod p, sorted.
 
     Such p and q are coprime: a common divisor of both divides q^2 - (q^2 - 1).
+    The q of one p are the square roots of 1 modulo p, joined by the Chinese
+    remainder theorem from the roots modulo each prime power k = l^e of p:
+    +-1 for odd l; 1 modulo 2; +-1 modulo 4; +-1 and k/2 +- 1 modulo 2^e
+    for e >= 3.  A smallest-prime-factor sieve factors every p.
     """
-    return [
-        (p, q)
-        for p in range(2, max_p + 1)
-        for q in range(1, p)
-        if (q * q) % p == 1
-    ]
+    spf = list(range(max_p + 1))
+    for l in range(2, max_p + 1):
+        if spf[l] == l:
+            for n in range(l * l, max_p + 1, l):
+                if spf[n] == n:
+                    spf[n] = l
+    pairs = []
+    for p in range(2, max_p + 1):
+        roots, m, n = [0], 1, p  # the roots of 1 modulo m, and m * n = p
+        while n > 1:
+            l, k = spf[n], 1
+            while n % l == 0:
+                n //= l
+                k *= l
+            if l > 2 or k == 4:
+                local = (1, k - 1)
+            elif k == 2:
+                local = (1,)
+            else:
+                local = (1, k - 1, k // 2 - 1, k // 2 + 1)
+            inv = pow(m, -1, k)  # x = r mod m and x = s mod k
+            roots = [r + m * ((s - r) * inv % k) for r in roots for s in local]
+            m *= k
+        roots.sort()
+        pairs += [(p, q) for q in roots]
+    return pairs
 
 
 # The middle of the word, keyed by (prime, n mod 4) where prime means

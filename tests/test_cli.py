@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from eqsurg import cli
 from eqsurg.cli import _encode, main
 from eqsurg.contact import RunList
+from eqsurg.contfrac import BadInput
 
 
 def _dumps(obj) -> str:
@@ -309,6 +310,7 @@ _OPTIONS = {
         _option("--q", _INT),
         _option("--variant", st.sampled_from(["C", "C'", "D"])),
     ],
+    "census": [_option("--max-p", st.integers(-3, 40).map(str))],
     "catalog": [
         st.sampled_from([("typeA",), ("s1xs2",), ("rp3",), ("bogus",)]),
         _option("--p", _INT),
@@ -344,6 +346,107 @@ def test_cli_fuzz_exits_with_documented_code(argv):
     assert (code == 64) == err.startswith("usage error: "), (argv, code, err)
     if code in (0, 1):
         assert err == "", (argv, code, err)
+
+
+def _parse_twice(argv):
+    """`main` as it ran before it dispatched on the first argument: the
+    top-level parser classifies every argument, then hands the command's
+    arguments to the command's parser."""
+    try:
+        args = cli._PARSER.parse_args(argv)
+        if not getattr(args, "command", None):
+            raise cli.UsageError("a command is required")
+        return args.func(args)
+    except cli.UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return cli.EXIT_USAGE
+    except BadInput as exc:
+        print(f"inadmissible: {exc}", file=sys.stderr)
+        return cli.EXIT_INADMISSIBLE
+
+
+def _outcome(entry, argv):
+    """(exit code, stdout, stderr) of `entry(argv)`; a `SystemExit` gives
+    its code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = entry(list(argv))
+        except SystemExit as exc:  # argparse's --help
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+_ALL_OPTIONS = [option for options in _OPTIONS.values() for option in options]
+
+
+@st.composite
+def _any_argv(draw):
+    first = draw(
+        st.sampled_from([*cli._PARSER.commands, "-h", "--help"]).map(lambda t: (t,))
+        | _GARBAGE
+        | st.just(())
+    )
+    options = _OPTIONS.get(first[0], _ALL_OPTIONS) if first else _ALL_OPTIONS
+    pieces = draw(st.lists(st.one_of(*options, _FORMAT, _GARBAGE), max_size=6))
+    return [*first, *(token for piece in pieces for token in piece)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_any_argv())
+@example(["lens", "--p", "5", "--q", "4", "--help"])
+@example(["census", "--max-p", "3", "--"])
+@example(["--format", "lens", "--p", "5", "--q", "4"])
+def test_dispatch_matches_the_top_level_parse(argv):
+    assert _outcome(main, argv) == _outcome(_parse_twice, argv)
+
+
+# (argv, exit code, start of stdout, exact stderr)
+@pytest.mark.parametrize("argv, code, head, err", [
+    (("lens", "--p", "5", "--q", "4", "extra", "--zz"), 64, "",
+     "usage error: unrecognized arguments: extra --zz\n"),
+    (("census", "--max-p", "3", "x"), 64, "", "usage error: unrecognized arguments: x\n"),
+    (("lens", "--help"), 0, "usage: eqsurg lens ", ""),
+    ((), 64, "", "usage error: a command is required\n"),
+    (("bogus",), 64, "",
+     "usage error: argument command: invalid choice: 'bogus' (choose from 'lens', "
+     "'census', 'catalog', 'verify', 'factor-palindrome')\n"),
+], ids=["trailing", "census-trailing", "lens-help", "empty", "bogus"])
+def test_dispatch_fixed_cases(argv, code, head, err):
+    got = _outcome(main, argv)
+    assert got == _outcome(_parse_twice, argv)
+    assert (got[0], got[1][:len(head)], got[2]) == (code, head, err)
+    assert bool(got[1]) == bool(head)
+
+
+# stdout digests of commands that run to exit 0
+_DISPATCHED = [
+    (("lens", "--p", "5", "--q", "4"),
+     "b1557286904bfc27f14fa28cc62b552610ba330db8b2dbe18a5ea07bd6c9db32"),
+    (("factor-palindrome", "--curves", "(a+b)^1"),
+     "7321c6c9a4b218bc07a79b323af6a50aabf9c4e959219fd6b1ce94ad34571374"),
+    (("census", "--max-p", "20"),
+     "453e743af20f59a1eb0f4e2172f7176764355debb687ca5bcf4e5ba63cd02e8f"),
+]
+
+
+def test_a_command_is_not_parsed_by_the_top_level_parser(capsys, monkeypatch):
+    class TopLevelParse(Exception):
+        pass
+
+    def fail(*args, **kwargs):
+        raise TopLevelParse
+
+    monkeypatch.setattr(cli._PARSER, "parse_args", fail)
+    for argv, digest in _DISPATCHED:
+        code, out, err = run(capsys, *argv)
+        assert (code, _sha256(out), err) == (0, digest, ""), argv
+    argv, digest = _DISPATCHED[0]
+    monkeypatch.setattr(sys, "argv", ["eqsurg", *argv])
+    assert main() == 0  # argv read from sys.argv
+    assert _sha256(capsys.readouterr().out) == digest
+    with pytest.raises(TopLevelParse):  # not a command: the fallback
+        main(["bogus"])
 
 
 def test_factor_palindrome_cst(capsys):
@@ -429,7 +532,7 @@ _REUSE = [
 
 
 def test_reused_parser_gives_same_results(capsys):
-    # main parses with one parser built at import; run every command twice,
+    # main parses with parsers built at import; run every command twice,
     # interleaved, so each parse follows parses of other commands
     for _ in range(2):
         for argv, code, digest, err in _REUSE:

@@ -66,6 +66,26 @@ def test_admissible_pairs_enumeration():
     assert admissible_pairs(5) == [(2, 1), (3, 1), (3, 2), (4, 1), (4, 3), (5, 1), (5, 4)]
 
 
+def _scan(max_p):
+    """The pairs by their definition: every q < p tried."""
+    return [(p, q) for p in range(2, max_p + 1) for q in range(1, p) if (q * q) % p == 1]
+
+
+def test_admissible_pairs_match_the_scan():
+    # the list is sorted by p, so equality at 2000 holds at every smaller max_p
+    assert admissible_pairs(2000) == _scan(2000)
+
+
+@pytest.mark.parametrize("p, qs", [
+    (2, [1]),  # 1 modulo 2
+    (4, [1, 3]),  # +-1 modulo 4
+    (8, [1, 3, 5, 7]),  # +-1 and 4 +- 1 modulo 8
+    (16, [1, 7, 9, 15]),  # +-1 and 8 +- 1 modulo 16
+])
+def test_admissible_pairs_at_powers_of_two(p, qs):
+    assert [q for n, q in admissible_pairs(p) if n == p] == qs
+
+
 def test_admissible_pairs_match_gcd_definition():
     # q^2 = 1 mod p already makes p and q coprime; the listing keeps the
     # definition that also tests the gcd
