@@ -4,10 +4,10 @@ Everything downstream (twist words, gluing maps, surgery classification)
 is verified against the operations in this module, so all arithmetic is
 arbitrary-precision integer arithmetic; there is no floating point
 anywhere.  Each inner product runs as `sum(map(mul, ...))` over Python
-ints, so the per-entry loop is C iteration, not bytecode.  The
-real-structure checks build no product matrix: an anti-symplectic map is
-checked by the pairings of its columns, and such a map is an involution
-iff it equals J a^T J entry by entry.
+ints, so the per-entry loop is C iteration, not bytecode.  Every genus-g
+twist is the rank-1 update `shear` of a vector.  The real-structure
+checks build no product matrix: an anti-symplectic map is checked by the
+pairings of its columns, and it is an involution iff it is skew-adjoint.
 """
 
 from __future__ import annotations
@@ -67,25 +67,6 @@ class IntMatrix:
         return IntMatrix(
             tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in self.rows])
         )
-
-    def twist(self, curve: CurveClass, power: int) -> "IntMatrix":
-        """self @ T, where T is the homology action of tau_curve^power.
-
-        T = I + power * c w^T with w_j = <c, e_j>, so each row gains
-        power * (row . c) times w: a rank-1 update, no T is built.  A row
-        with row . c = 0 is kept as it is.
-        """
-        c = curve.coords
-        if len(c) != len(self.rows):
-            raise DimensionMismatch("curve genus does not match matrix genus")
-        g = len(c) // 2
-        w = [-x for x in c[g:]]
-        w += c[:g]
-        rows = []
-        for row in self.rows:
-            k = power * sum(map(mul, row, c))
-            rows.append(tuple(map(add, row, [k * y for y in w])) if k else row)
-        return IntMatrix(tuple(rows))
 
     def __neg__(self) -> "IntMatrix":
         return IntMatrix(tuple(tuple(-x for x in row) for row in self.rows))
@@ -151,18 +132,18 @@ class SymplecticForm:
         return sum(map(mul, x[:g], y[g:])) - sum(map(mul, x[g:], y[:g]))
 
 
-def is_involution(a: IntMatrix) -> bool:
-    """True iff a @ a is the identity: row i of a @ a is computed and
-    compared with row i of I, and no matrix is built."""
-    rows = a.rows
-    cols = list(zip(*rows))
-    unit = [0] * len(rows)
-    for i, row in enumerate(rows):
-        unit[i] = 1
-        if [sum(map(mul, row, col)) for col in cols] != unit:
-            return False
-        unit[i] = 0
-    return True
+def shear(v: tuple, e: int, x: Sequence[int], y: Sequence[int]) -> tuple:
+    """v + e (v . x) y, or v itself when v . x = 0.  The twist T along c
+    maps a column v to shear(v, e, dual(c), c), and a row of m to that row
+    of m @ T by shear(row, e, c, dual(c))."""
+    k = e * sum(map(mul, v, x))
+    return tuple(map(add, v, [k * t for t in y])) if k else v
+
+
+def dual(c: Sequence[int]) -> list:
+    """The row w with w . x = <c, x>: the twist along c is x + e <c, x> c."""
+    g = len(c) // 2
+    return [-x for x in c[g:]] + list(c[:g])
 
 
 def transvection(curve: CurveClass, power: int, form: SymplecticForm) -> IntMatrix:
@@ -173,7 +154,8 @@ def transvection(curve: CurveClass, power: int, form: SymplecticForm) -> IntMatr
     """
     if curve.genus != form.genus:
         raise DimensionMismatch("curve genus does not match form genus")
-    return IntMatrix.identity(form.dim).twist(curve, power)
+    c, w = curve.coords, dual(curve.coords)
+    return IntMatrix(tuple([shear(row, power, c, w) for row in IntMatrix.identity(form.dim).rows]))
 
 
 def is_anti_symplectic(a: IntMatrix) -> bool:
@@ -195,16 +177,20 @@ def is_anti_symplectic(a: IntMatrix) -> bool:
     return True
 
 
-def is_real_structure(a: IntMatrix) -> bool:
-    """True iff a is an anti-symplectic involution.  a^T J a = -J gives
-    a^-1 = J a^T J, so such an a is an involution iff a = J a^T J: in g x g
-    blocks [[P, Q], [R, S]], P = -S^T and Q, R symmetric.  No product is
-    computed."""
+def is_skew_adjoint(a: IntMatrix) -> bool:
+    """True iff a = J a^T J: in g x g blocks [[P, Q], [R, S]], P = -S^T and
+    Q, R symmetric.  An anti-symplectic a has a^-1 = J a^T J, so it is an
+    involution iff this holds.  O(n^2) comparisons, no product."""
     g, rows = a.genus, a.rows
     cols = list(zip(*rows))
-    return is_anti_symplectic(a) and all(
+    return all(
         rows[i][:g] == tuple([-x for x in cols[g + i][g:]])
         and rows[i][g:] == cols[g + i][:g]
         and rows[g + i][:g] == cols[i][g:]
         for i in range(g)
     )
+
+
+def is_real_structure(a: IntMatrix) -> bool:
+    """True iff a is an anti-symplectic involution; no product is computed."""
+    return is_anti_symplectic(a) and is_skew_adjoint(a)

@@ -19,8 +19,8 @@ equality of primitive classes up to sign.
 
 At genus 1 `eval_word` multiplies by `CST` as a column swap of its four
 integer locals, and `CST_IMAGES` holds the image under `CST` of each
-named curve, computed once at import.  At genus >= 2 neither `eval_word`
-nor `factor_palindrome` multiplies matrices: twists act on vectors.
+named curve, computed once at import.  At genus >= 2 no function here
+multiplies matrices: each twist shears vectors with `matrices.shear`.
 """
 
 from __future__ import annotations
@@ -28,15 +28,17 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import chain
-from operator import add, mul
+from operator import mul
 from typing import Optional, Sequence
 
 from .matrices import (
     CurveClass,
     IntMatrix,
     SymplecticForm,
-    is_involution,
+    dual,
     is_real_structure,
+    is_skew_adjoint,
+    shear,
     transvection,
 )
 
@@ -142,7 +144,7 @@ def _twist2(m: tuple, block: tuple[Factor, ...]) -> tuple:
     """The genus-1 matrix m = (a, b, c, d), rows (a, b) and (c, d), times
     the block's twists in written order.
 
-    IntMatrix.twist on the rows; the curve (x, y) has twist vector
+    `matrices.shear` of each row along the curve (x, y) and its dual
     (-y, x).  A curve (x, 0) changes only b and d, a curve (0, y) only a
     and c.
     """
@@ -162,17 +164,6 @@ def _twist2(m: tuple, block: tuple[Factor, ...]) -> tuple:
             t = e * (c * x + d * y)
             a, b, c, d = a - s * y, b + s * x, c - t * y, d + t * x
     return a, b, c, d
-
-
-def _shear(v: tuple, e: int, x: Sequence[int], y: Sequence[int]) -> tuple:
-    """v + e (v . x) y, or v itself when v . x = 0."""
-    k = e * sum(map(mul, v, x))
-    return tuple(map(add, v, [k * t for t in y])) if k else v
-
-
-def _dual(c: tuple, g: int) -> list:
-    """The row w with w . x = <c, x>: the twist along c is x + e <c, x> c."""
-    return [-x for x in c[g:]] + list(c[:g])
 
 
 def _mul2(m: tuple, n: tuple) -> tuple:
@@ -213,11 +204,11 @@ def eval_word(w: TwistWord) -> IntMatrix:
             a, b, c, d = b, a, d, c
         return IntMatrix(((a, b), (c, d)))
     g = w.genus  # no word carries a base at genus >= 2
-    twists = [(e, c.coords, _dual(c.coords, g)) for c, e in w.factors]
+    twists = [(e, c.coords, dual(c.coords)) for c, e in w.factors]
     rows = []
     for row in IntMatrix.identity(2 * g).rows:
-        for e, c, dual in twists:
-            row = _shear(row, e, c, dual)
+        for e, c, w_c in twists:
+            row = shear(row, e, c, w_c)
         rows.append(row)
     return IntMatrix(tuple(rows))
 
@@ -452,17 +443,21 @@ def validate_recursive_invariance(w: TwistWord, s: IntMatrix) -> dict:
     Factors are processed in application order (rightmost first).  Each
     factor must satisfy either (i) the accumulated structure fixes its
     curve up to sign, or (ii) it forms a swapped disjoint pair with the
-    next factor.  Accumulated structures are checked to stay involutions.
+    next factor.  The accumulated structure is held as columns, each
+    sheared by every twist; twists are symplectic, so it stays
+    anti-symplectic, and it is checked to stay an involution by
+    `is_skew_adjoint`.
     """
     _check_real_structure(s, w.genus)
     form = SymplecticForm(w.genus)
     seq = list(reversed(w.factors))  # application order
     entries: list[dict] = []
-    current = s
+    rows = s.rows
+    cols = list(zip(*rows))
     j = 0
     while j < len(seq):
         c, e = seq[j]
-        image = c.image_under(current)
+        image = CurveClass.from_coords([sum(map(mul, row, c.coords)) for row in rows])
         if image == c:  # CurveClass is sign-normalized
             group, condition, invariant_ok = seq[j:j + 1], "i", True
         elif (j + 1 < len(seq) and seq[j + 1] == (image, e)
@@ -471,8 +466,10 @@ def validate_recursive_invariance(w: TwistWord, s: IntMatrix) -> dict:
         else:
             group, condition, invariant_ok = seq[j:j + 1], "i", False
         for d, _ in group:
-            current = transvection(d, e, form) @ current
-        involution_ok = invariant_ok and is_involution(current)
+            w_d = dual(d.coords)
+            cols = [shear(col, e, w_d, d.coords) for col in cols]
+        rows = tuple(zip(*cols))
+        involution_ok = invariant_ok and is_skew_adjoint(IntMatrix(rows))
         for index, (d, _) in enumerate(group, j + 1):
             entries.append({
                 "index": index,
@@ -517,10 +514,10 @@ def factor_palindrome(
         if image != a and image != tuple([-x for x in a]):
             raise WordError(f"input curve {curve_name(a_j)} is not invariant under s")
         v = a
-        for e, dual, c in reversed(done):
-            v = _shear(v, e, dual, c)
+        for e, w_a, c in reversed(done):
+            v = shear(v, e, w_a, c)
         squared.append((CurveClass.from_coords(v), 2 * sigma))  # twists keep v primitive
-        done.append((sigma, _dual(a, genus), a))
+        done.append((sigma, dual(a), a))
     return TwistWord.of(squared[::-1], base=None, genus=genus)
 
 

@@ -11,8 +11,10 @@ from eqsurg.matrices import (
     IntMatrix,
     NotPrimitive,
     SymplecticForm,
+    dual,
     is_anti_symplectic,
-    is_involution,
+    is_skew_adjoint,
+    shear,
     transvection,
 )
 from eqsurg.words import CST, MAT_A, TwistWord, WordError, _check_real_structure, eval_word
@@ -108,7 +110,9 @@ def test_kernels_match_reference_product(inputs):
         tuple(int(i == k) + power * pairing_with_c[k] * y[i] for k in range(n))
         for i in range(n)
     ))
-    assert a.twist(curve, power) == matmul_reference(a, t)
+    assert transvection(curve, power, SymplecticForm(g)) == t
+    # the kernel on the rows of a, rows with row . c = 0 among them
+    assert tuple(shear(row, power, y, dual(y)) for row in a.rows) == matmul_reference(a, t).rows
     assert IntMatrix.identity(n).rows == identity_rows(n)
     assert matmul_reference(IntMatrix.identity(n), a) == a
 
@@ -204,8 +208,8 @@ def test_random_anti_symplectic_properties(seed):
     rng = random.Random(seed)
     g = rng.randint(1, 3)
     s = random_anti_symplectic(g, rng)
-    assert is_involution(s)
-    assert is_anti_symplectic(s)
+    assert real_structure_reference(s) == (True, True)
+    assert is_anti_symplectic(s) and is_skew_adjoint(s)
     assert det(s) == (-1) ** g
 
 
@@ -221,8 +225,10 @@ def _accepted_as_base(a: IntMatrix) -> bool:
 
 def _assert_checks_match_formulas(a: IntMatrix) -> None:
     # the checks against their matrix formulas, by the reference product
-    reference = real_structure_reference(a)
-    assert (is_involution(a), is_anti_symplectic(a)) == reference
+    involution, anti_symplectic = reference = real_structure_reference(a)
+    assert is_anti_symplectic(a) == anti_symplectic
+    if anti_symplectic:  # where skew-adjoint means an involution
+        assert is_skew_adjoint(a) == involution
     assert _accepted_as_base(a) == all(reference)
 
 
@@ -262,7 +268,7 @@ def test_real_structure_checks_match_matrix_formulas(g, seed, kind):
         a = random_symplectic(g, rng)
     _assert_checks_match_formulas(a)
     if kind in ("real", "negated"):
-        assert is_involution(a) and is_anti_symplectic(a)
+        assert _accepted_as_base(a)
     if kind == "symplectic":
         assert not is_anti_symplectic(a)
 
@@ -325,7 +331,7 @@ def test_twist_matches_reference_product(seed, k):
     g = rng.randint(1, 3)
     m = random_symplectic(g, rng)
     c = random_curve(g, rng)
-    assert m.twist(c, k) == m @ _twist_reference(c, k)
+    assert transvection(c, k, SymplecticForm(g)) == _twist_reference(c, k)
 
     nonzero = [e for e in range(-6, 7) if e]
     factors = [
@@ -343,7 +349,9 @@ def test_twist_matches_reference_product(seed, k):
 
 def test_twist_rejects_genus_mismatch():
     with pytest.raises(DimensionMismatch):
-        IntMatrix.identity(4).twist(CurveClass.of(1, 0), 1)
+        transvection(CurveClass.of(1, 0), 1, SymplecticForm(2))
+    with pytest.raises(DimensionMismatch):
+        transvection(CurveClass.of(1, 0, 0, 0), 1, SymplecticForm(1))
 
 
 genus1_curves = (
@@ -387,10 +395,11 @@ def test_genus1_real_structures_pass_the_general_check(s):
 @settings(max_examples=150, deadline=None)
 def test_genus1_eval_matches_generic_twist(factors, base):
     # eval_word works on four integers at genus 1 and multiplies by CST as
-    # a column swap; IntMatrix.twist and the reference product are the reference
+    # a column swap; transvection and the reference product are the reference
+    form = SymplecticForm(1)
     expected = IntMatrix.identity(2)
     for curve, k in factors:
-        expected = expected.twist(curve, k)
+        expected = matmul_reference(expected, transvection(curve, k, form))
     if base is not None:
         assert real_structure_reference(base) == (True, True)
         expected = matmul_reference(expected, base)

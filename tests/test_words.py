@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import eqsurg.words
 from eqsurg.contact import legalize
 from eqsurg.lens import diagram_documents
 from eqsurg.matrices import CurveClass, IntMatrix, SymplecticForm, transvection
@@ -556,6 +558,142 @@ def test_real_structure_checked_at_higher_genus(g, seed):
             factor_palindrome([a], [1], bad)
 
 
+def recursive_invariance_reference(w: TwistWord, s: IntMatrix) -> tuple[dict, list[str]]:
+    """The report by the matrix algorithm: after each factor the structure
+    is `transvection(d, e) @ current`, and whether it is an involution is
+    decided by `real_structure_reference`.  Also the outcome of each group
+    of factors: "(i)", "(ii)", "lost involution" (the curve or pair passes
+    but the structure is no involution), or, for a curve the structure
+    moves, "lone swap", "intersecting swap" (the next factor is its image
+    with the same exponent) or "mismatched exponents"."""
+    form = SymplecticForm(w.genus)
+    seq = list(reversed(w.factors))  # application order
+    entries, outcomes = [], []
+    current = s
+    j = 0
+    while j < len(seq):
+        c, e = seq[j]
+        image = c.image_under(current)
+        after = seq[j + 1] if j + 1 < len(seq) else None
+        if image == c:
+            group, condition, invariant_ok, outcome = seq[j:j + 1], "i", True, "(i)"
+        elif after == (image, e) and form.pairing(c.coords, image.coords) == 0:
+            group, condition, invariant_ok, outcome = seq[j:j + 2], "ii", True, "(ii)"
+        else:
+            group, condition, invariant_ok = seq[j:j + 1], "i", False
+            if after is None or after[0] != image:
+                outcome = "lone swap"
+            elif after[1] == e:
+                outcome = "intersecting swap"
+            else:
+                outcome = "mismatched exponents"
+        for d, _ in group:
+            current = transvection(d, e, form) @ current
+        involution_ok = invariant_ok and real_structure_reference(current)[0]
+        outcomes.append("lost involution" if invariant_ok and not involution_ok else outcome)
+        for index, (d, _) in enumerate(group, j + 1):
+            entries.append(dict(zip(_REPORT_KEYS, (
+                index, curve_name(d), e, condition, invariant_ok, involution_ok))))
+        j += len(group)
+    return {"all_ok": all(x["involution_ok"] for x in entries), "factors": entries}, outcomes
+
+
+_KINDS = ("palindrome", "invariant", "random")
+
+
+def _eigencurve_disjoint_from(m: IntMatrix, sign: int, c: CurveClass, rng: random.Random):
+    """A curve in the sign-eigenspace of the involution m whose pairing
+    with c is 0: <c, w> v - <c, v> w for two curves v, w of that
+    eigenspace.  None when that is 0, as it always is at genus 1."""
+    g = m.genus
+    form = SymplecticForm(g)
+    v, w = (random_invariant_curve(m, g, rng, sign).coords for _ in range(2))
+    x = [form.pairing(c.coords, w) * a - form.pairing(c.coords, v) * b for a, b in zip(v, w)]
+    return primitive(x) if any(x) else None
+
+
+def _invariance_case(kind: str, g: int, rng: random.Random) -> tuple[TwistWord, IntMatrix]:
+    """A real structure s at genus g and a word of one of three kinds:
+    `factor_palindrome` outputs on curves from both eigenspaces of s;
+    words of curves that s fixes; and words of random curves.  In the
+    last, taken in application order, each step is one of: a curve
+    alone; a curve and its image under the accumulated structure, with
+    the same exponent or its negative; the same for a curve u + v that is
+    disjoint from its image u - v; or a curve c alone and then a curve
+    that the structure before c fixes and that is disjoint from c.
+    The last two need an involution, and go alone otherwise."""
+    s = random_anti_symplectic(g, rng)
+    exps = [rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(rng.randint(1, 6))]
+    if kind != "random":
+        curves = [random_invariant_curve(s, g, rng, rng.choice([1, -1])) for _ in exps]
+        if kind == "palindrome":
+            return factor_palindrome(curves, exps, s), s
+        return TwistWord.of(list(zip(curves, exps)), genus=g), s
+    form = SymplecticForm(g)
+    current, applied = s, []
+    for e in exps:
+        move = rng.choice(["alone", "swap", "disjoint swap", "then fixed"])
+        c, then = random_curve(g, rng), None
+        if move in ("disjoint swap", "then fixed") and real_structure_reference(current)[0]:
+            if move == "disjoint swap":
+                u = random_invariant_curve(current, g, rng, 1)
+                v = _eigencurve_disjoint_from(current, -1, u, rng)
+                if v is not None:
+                    c = primitive([a + b for a, b in zip(u.coords, v.coords)])
+            else:
+                then = _eigencurve_disjoint_from(current, rng.choice([1, -1]), c, rng)
+        group = [(c, e)]
+        if move.endswith("swap"):
+            group.append((c.image_under(current), rng.choice([e, e, -e])))
+        elif then is not None:
+            group.append((then, rng.choice([-3, -2, -1, 1, 2, 3])))
+        for d, f in group:
+            current = transvection(d, f, form) @ current
+        applied += group
+    return TwistWord.of(applied[::-1], genus=g), s
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(_KINDS), st.integers(1, 4), st.integers(min_value=0, max_value=10**6))
+def test_recursive_invariance_matches_the_matrix_algorithm(kind, g, seed):
+    w, s = _invariance_case(kind, g, random.Random(seed))
+    report, _ = recursive_invariance_reference(w, s)
+    assert validate_recursive_invariance(w, s) == report
+    if kind == "palindrome":
+        assert report["all_ok"]
+
+
+def test_recursive_invariance_matches_the_matrix_algorithm_on_every_outcome():
+    # fixed draws of every kind at genus 1-4, among which every outcome occurs
+    seen = collections.Counter()
+    for kind in _KINDS:
+        for g in (1, 2, 3, 4):
+            for seed in range(12):
+                w, s = _invariance_case(kind, g, random.Random(f"{kind}-{g}-{seed}"))
+                report, outcomes = recursive_invariance_reference(w, s)
+                assert validate_recursive_invariance(w, s) == report
+                seen.update(outcomes)
+    assert set(seen) == {"(i)", "(ii)", "lone swap", "intersecting swap",
+                         "mismatched exponents", "lost involution"}, seen
+
+
+def test_recursive_invariance_multiplies_no_matrix(monkeypatch):
+    # the accumulated structure is sheared column by column: with the
+    # matrix product and `transvection` both refused, the reports are the same
+    cases = [_invariance_case(kind, g, random.Random(f"{kind}-{g}"))
+             for kind in _KINDS for g in (1, 2, 3, 4)]
+    cases.append((parse_word("v[1,0,0,1]^-1 v[0,1,1,0]^-1 v[1,0,0,0]^1", genus=2),
+                  swap_involution(2)))
+    reports = [validate_recursive_invariance(w, s) for w, s in cases]
+
+    def refuse(*args):
+        pytest.fail("a matrix was built or multiplied")
+
+    monkeypatch.setattr(IntMatrix, "__matmul__", refuse)
+    monkeypatch.setattr(eqsurg.words, "transvection", refuse)
+    assert [validate_recursive_invariance(w, s) for w, s in cases] == reports
+
+
 # --- palindrome factorization ------------------------------------------------
 
 
@@ -601,14 +739,15 @@ def test_factor_palindrome_random(seed):
 def factor_palindrome_reference(curves, exps, s) -> TwistWord:
     """The prefix-matrix algorithm: r_j is a_j's image under the prefix
     tau_{a_1}^{s_1} ... tau_{a_{j-1}}^{s_{j-1}}, kept as a matrix and
-    extended by `IntMatrix.twist`."""
+    extended by `@ transvection`."""
     genus = curves[0].genus
+    form = SymplecticForm(genus)
     prefix = IntMatrix.identity(2 * genus)
     squared = []
     for a, sigma in zip(curves, exps):
         assert a.image_under(s) == a
         squared.append((a.image_under(prefix), 2 * sigma))
-        prefix = prefix.twist(a, sigma)
+        prefix = prefix @ transvection(a, sigma, form)
     return TwistWord.of(squared[::-1], genus=genus)
 
 
