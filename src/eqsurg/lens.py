@@ -271,13 +271,7 @@ class BuildReport:
         return [] if self.contact is None else self.contact.flags()
 
     def census_row(self) -> dict:
-        """The verdicts without the diagrams, plus the expansion case n = 4k + r.
-
-        The contact diagram and its flags are read once: a diagram is legal
-        exactly when its flags have no run, one run per illegal knot.
-        """
-        contact = self.contact
-        flags = [] if contact is None else contact.flags()
+        """The verdicts without the diagrams, plus the expansion case n = 4k + r."""
         n = len(self.cf)
         return {
             "p": self.target.p,
@@ -285,10 +279,10 @@ class BuildReport:
             "variant": self.target.variant.value,
             "case": f"n={n} (4k+{n % 4})",
             "matrix_ok": self.matrix_ok,
-            "shape_ok": contact is not None,
-            "legal": contact is not None and not flags.runs,
+            "shape_ok": self.shape_ok,
+            "legal": self.legal,
             "fix_rule_applied": self.fix_rule_applied,
-            "flags": flags,
+            "flags": self.flags,
         }
 
     def to_json_dict(self) -> dict:

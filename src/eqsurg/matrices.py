@@ -5,16 +5,18 @@ is verified against the operations in this module, so all arithmetic is
 arbitrary-precision integer arithmetic; there is no floating point
 anywhere.  Each inner product runs as `sum(map(mul, ...))` over Python
 ints, so the per-entry loop is C iteration, not bytecode.  Every genus-g
-twist is the rank-1 update `shear` of a vector.  The real-structure
-checks build no product matrix: an anti-symplectic map is checked by the
-pairings of its columns, and it is an involution iff it is skew-adjoint.
+twist is the rank-1 update `shear` of a vector.  The form J is written
+only in `dual`.  The real-structure checks build no product matrix:
+they read the column duals, the rows of a^T J.  An anti-symplectic map
+is checked by the pairings of its columns, and it is an involution iff
+it is skew-adjoint, that is iff J a is symmetric.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import add, mul
+from operator import add, mul, neg
 from typing import Iterable, NamedTuple, Sequence
 
 
@@ -126,10 +128,9 @@ class SymplecticForm:
         return 2 * self.genus
 
     def pairing(self, x: Sequence[int], y: Sequence[int]) -> int:
-        g = self.genus
-        if len(x) != 2 * g or len(y) != 2 * g:
+        if len(x) != self.dim or len(y) != self.dim:
             raise DimensionMismatch("vector length does not match form genus")
-        return sum(map(mul, x[:g], y[g:])) - sum(map(mul, x[g:], y[:g]))
+        return sum(map(mul, dual(x), y))
 
 
 def shear(v: tuple, e: int, x: Sequence[int], y: Sequence[int]) -> tuple:
@@ -140,10 +141,11 @@ def shear(v: tuple, e: int, x: Sequence[int], y: Sequence[int]) -> tuple:
     return tuple(map(add, v, [k * t for t in y])) if k else v
 
 
-def dual(c: Sequence[int]) -> list:
-    """The row w with w . x = <c, x>: the twist along c is x + e <c, x> c."""
+def dual(c: Sequence[int]) -> tuple:
+    """The row w with w . x = <c, x>, the one place that splits a vector
+    into its halves: the twist along c is x + e <c, x> c."""
     g = len(c) // 2
-    return [-x for x in c[g:]] + list(c[:g])
+    return (*map(neg, c[g:]), *c[:g])
 
 
 def transvection(curve: CurveClass, power: int, form: SymplecticForm) -> IntMatrix:
@@ -158,37 +160,35 @@ def transvection(curve: CurveClass, power: int, form: SymplecticForm) -> IntMatr
     return IntMatrix(tuple([shear(row, power, c, w) for row in IntMatrix.identity(form.dim).rows]))
 
 
+def _column_duals(a: IntMatrix) -> tuple[list, list]:
+    """The columns of a and their duals, the rows of a^T J."""
+    cols = list(zip(*a.rows))
+    return cols, list(map(dual, cols))
+
+
 def is_anti_symplectic(a: IntMatrix) -> bool:
     """True iff a reverses the intersection form: <a e_i, a e_j> = -<e_i, e_j>.
 
     The matrix of pairings a^T J a is antisymmetric, so only the pairs of
-    columns i < j are checked: their pairing must be -1 for j = i + g and
-    0 otherwise.  Each pairing is two sums over column halves.
+    columns i < j are checked: dual(col_i) . col_j must be -1 for
+    j = i + g and 0 otherwise.
     """
     g = a.genus
-    cols = list(zip(*a.rows))
-    tops = [col[:g] for col in cols]
-    bottoms = [col[g:] for col in cols]
-    for i in range(2 * g):
+    cols, duals = _column_duals(a)
+    for i, w in enumerate(duals):
         for j in range(i + 1, 2 * g):
-            pairing = sum(map(mul, tops[i], bottoms[j])) - sum(map(mul, bottoms[i], tops[j]))
-            if pairing != -(j == i + g):
+            if sum(map(mul, w, cols[j])) != -(j == i + g):
                 return False
     return True
 
 
 def is_skew_adjoint(a: IntMatrix) -> bool:
-    """True iff a = J a^T J: in g x g blocks [[P, Q], [R, S]], P = -S^T and
-    Q, R symmetric.  An anti-symplectic a has a^-1 = J a^T J, so it is an
-    involution iff this holds.  O(n^2) comparisons, no product."""
-    g, rows = a.genus, a.rows
-    cols = list(zip(*rows))
-    return all(
-        rows[i][:g] == tuple([-x for x in cols[g + i][g:]])
-        and rows[i][g:] == cols[g + i][:g]
-        and rows[g + i][:g] == cols[i][g:]
-        for i in range(g)
-    )
+    """True iff a = J a^T J, that is iff J a = -a^T J = (J a)^T is
+    symmetric: on the column duals, the rows of a^T J, dual(col_i)[j] =
+    dual(col_j)[i].  An anti-symplectic a has a^-1 = J a^T J, so it is
+    an involution iff this holds.  O(n^2) comparisons, no product."""
+    duals = _column_duals(a)[1]
+    return duals == list(zip(*duals))
 
 
 def is_real_structure(a: IntMatrix) -> bool:

@@ -28,7 +28,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import chain
-from operator import mul
+from operator import add, mul, sub
 from typing import Optional, Sequence
 
 from .matrices import (
@@ -437,19 +437,24 @@ def validate_equivariant_shape(w: TwistWord) -> EquivariantShape:
 # Recursive invariance
 
 
+def _equal_up_to_sign(x: Sequence[int], y: Sequence[int]) -> bool:
+    """x = +-y, for vectors of one length: a unimodular s fixes the curve
+    c up to sign iff s c = +-c, and carries it to the curve d iff s c = +-d."""
+    return not any(map(sub, x, y)) or not any(map(add, x, y))
+
+
 def validate_recursive_invariance(w: TwistWord, s: IntMatrix) -> dict:
     """Check the recursive invariance of w against the real structure s.
 
     Factors are processed in application order (rightmost first).  Each
-    factor must satisfy either (i) the accumulated structure fixes its
-    curve up to sign, or (ii) it forms a swapped disjoint pair with the
-    next factor.  The accumulated structure is held as columns, each
-    sheared by every twist; twists are symplectic, so it stays
-    anti-symplectic, and it is checked to stay an involution by
-    `is_skew_adjoint`.
+    factor (c, e) must satisfy either (i) the accumulated structure a
+    fixes its curve up to sign, a c = +-c, or (ii) the next factor is
+    (d, e) with a c = +-d and <c, d> = 0, a swapped disjoint pair.  The
+    accumulated structure is held as columns, each sheared by every
+    twist; twists are symplectic, so it stays anti-symplectic, and it is
+    checked to stay an involution by `is_skew_adjoint`.
     """
     _check_real_structure(s, w.genus)
-    form = SymplecticForm(w.genus)
     seq = list(reversed(w.factors))  # application order
     entries: list[dict] = []
     rows = s.rows
@@ -457,11 +462,12 @@ def validate_recursive_invariance(w: TwistWord, s: IntMatrix) -> dict:
     j = 0
     while j < len(seq):
         c, e = seq[j]
-        image = CurveClass.from_coords([sum(map(mul, row, c.coords)) for row in rows])
-        if image == c:  # CurveClass is sign-normalized
+        image = [sum(map(mul, row, c.coords)) for row in rows]
+        if _equal_up_to_sign(image, c.coords):
             group, condition, invariant_ok = seq[j:j + 1], "i", True
-        elif (j + 1 < len(seq) and seq[j + 1] == (image, e)
-              and form.pairing(c.coords, image.coords) == 0):  # a swapped disjoint pair
+        elif (j + 1 < len(seq) and seq[j + 1][1] == e
+              and _equal_up_to_sign(image, seq[j + 1][0].coords)
+              and sum(map(mul, dual(c.coords), seq[j + 1][0].coords)) == 0):
             group, condition, invariant_ok = seq[j:j + 2], "ii", True
         else:
             group, condition, invariant_ok = seq[j:j + 1], "i", False
@@ -510,8 +516,7 @@ def factor_palindrome(
     squared: list[tuple[CurveClass, int]] = []
     for a_j, sigma in zip(curves, exps):
         a = a_j.coords
-        image = s.apply(a)  # s is unimodular: s a = +-a iff s fixes the curve
-        if image != a and image != tuple([-x for x in a]):
+        if not _equal_up_to_sign(s.apply(a), a):
             raise WordError(f"input curve {curve_name(a_j)} is not invariant under s")
         v = a
         for e, w_a, c in reversed(done):

@@ -475,6 +475,22 @@ def test_recursive_invariance_rejects_mismatched_pair_exponents():
     assert not validate_recursive_invariance(w, s)["all_ok"]
 
 
+def test_recursive_invariance_takes_negated_curves():
+    # curves built directly with a negative first coordinate, which
+    # TwistWord accepts: s fixes -a up to sign, and the block swap takes
+    # e1+f2 to -(f1+e2)
+    s = IntMatrix.from_rows([[1, 0], [0, -1]])
+    minus_a = CurveClass((-1, 0))
+    assert validate_recursive_invariance(tw((minus_a, 1)), s) == {"all_ok": True, "factors": [
+        dict(zip(_REPORT_KEYS, (1, "v[-1,0]", 1, "i", True, True)))]}
+    factor_palindrome([minus_a], [1], s)
+    w, s = _genus2_swap_pair(2, 2)
+    (image, e), (gamma, _) = w.factors
+    negated = TwistWord.of([(CurveClass(tuple(-x for x in image.coords)), e), (gamma, e)], genus=2)
+    report = validate_recursive_invariance(negated, s)
+    assert report["all_ok"] and {x["condition"] for x in report["factors"]} == {"ii"}
+
+
 _REPORT_KEYS = ("index", "curve", "exponent", "condition", "invariant_ok", "involution_ok")
 
 
@@ -561,21 +577,24 @@ def test_real_structure_checked_at_higher_genus(g, seed):
 def recursive_invariance_reference(w: TwistWord, s: IntMatrix) -> tuple[dict, list[str]]:
     """The report by the matrix algorithm: after each factor the structure
     is `transvection(d, e) @ current`, and whether it is an involution is
-    decided by `real_structure_reference`.  Also the outcome of each group
-    of factors: "(i)", "(ii)", "lost involution" (the curve or pair passes
-    but the structure is no involution), or, for a curve the structure
-    moves, "lone swap", "intersecting swap" (the next factor is its image
-    with the same exponent) or "mismatched exponents"."""
+    decided by `real_structure_reference`.  The image of a curve, which
+    `image_under` sign-normalizes, is compared with the normalized curves,
+    so a factor's curve may have either sign.  Also the outcome of each
+    group of factors: "(i)", "(ii)", "lost involution" (the curve or pair
+    passes but the structure is no involution), or, for a curve the
+    structure moves, "lone swap", "intersecting swap" (the next factor is
+    its image with the same exponent) or "mismatched exponents"."""
     form = SymplecticForm(w.genus)
     seq = list(reversed(w.factors))  # application order
+    normalized = [(CurveClass.from_coords(c.coords), e) for c, e in seq]
     entries, outcomes = [], []
     current = s
     j = 0
     while j < len(seq):
         c, e = seq[j]
         image = c.image_under(current)
-        after = seq[j + 1] if j + 1 < len(seq) else None
-        if image == c:
+        after = normalized[j + 1] if j + 1 < len(seq) else None
+        if image == normalized[j][0]:
             group, condition, invariant_ok, outcome = seq[j:j + 1], "i", True, "(i)"
         elif after == (image, e) and form.pairing(c.coords, image.coords) == 0:
             group, condition, invariant_ok, outcome = seq[j:j + 2], "ii", True, "(ii)"
@@ -675,6 +694,35 @@ def test_recursive_invariance_matches_the_matrix_algorithm_on_every_outcome():
                 seen.update(outcomes)
     assert set(seen) == {"(i)", "(ii)", "lone swap", "intersecting swap",
                          "mismatched exponents", "lost involution"}, seen
+
+
+def _flip(c: CurveClass) -> CurveClass:
+    """c with its coordinates negated, built directly, so not sign-normalized."""
+    return CurveClass(tuple(-x for x in c.coords))
+
+
+def _without_curves(report: dict) -> tuple:
+    return report["all_ok"], [{k: v for k, v in x.items() if k != "curve"}
+                              for x in report["factors"]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(_KINDS), st.integers(1, 4), st.integers(min_value=0, max_value=10**6))
+def test_recursive_invariance_and_palindromes_take_curves_of_either_sign(kind, g, seed):
+    # negating the coordinates of some factors changes no verdict: both
+    # conditions and the palindrome rewrite read curves up to sign
+    rng = random.Random(seed)
+    w, s = _invariance_case(kind, g, rng)
+    flips = [rng.random() < 0.5 for _ in w.factors]
+    flipped = TwistWord.of([(_flip(c) if f else c, e) for (c, e), f in zip(w.factors, flips)],
+                           genus=g)
+    report = validate_recursive_invariance(flipped, s)
+    assert _without_curves(report) == _without_curves(validate_recursive_invariance(w, s))
+    assert report == recursive_invariance_reference(flipped, s)[0]
+    if kind == "invariant":  # curves that s fixes, a factor_palindrome input
+        curves, exps = [c for c, _ in w.factors], [e for _, e in w.factors]
+        assert factor_palindrome([c for c, _ in flipped.factors], exps, s).factors == (
+            factor_palindrome(curves, exps, s).factors)
 
 
 def test_recursive_invariance_multiplies_no_matrix(monkeypatch):
