@@ -153,8 +153,11 @@ class ContactDiagram:
 
     @property
     def overall_legal(self) -> bool:
-        # pair knots are always legal
-        return all(d.legal for d in self.knot_data)
+        # pair knots are always legal; a loop costs a census row less than all()
+        for d in self.knot_data:
+            if not d.legal:
+                return False
+        return True
 
     def flags(self) -> RunList:
         """The reason of every illegal knot, as a run of `count` copies."""

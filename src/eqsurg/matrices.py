@@ -6,10 +6,9 @@ arbitrary-precision integer arithmetic; there is no floating point
 anywhere.  Each inner product runs as `sum(map(mul, ...))` over Python
 ints, so the per-entry loop is C iteration, not bytecode.  Every genus-g
 twist is the rank-1 update `shear` of a vector.  The form J is written
-only in `dual`.  The real-structure checks build no product matrix:
-they read the column duals, the rows of a^T J.  An anti-symplectic map
-is checked by the pairings of its columns, and it is an involution iff
-it is skew-adjoint, that is iff J a is symmetric.
+only in `dual`.  The real-structure checks build no product matrix but
+read the column duals, the rows of a^T J: the pairings of the columns
+decide anti-symplectic, and then J a symmetric decides an involution.
 """
 
 from __future__ import annotations
@@ -142,8 +141,7 @@ def shear(v: tuple, e: int, x: Sequence[int], y: Sequence[int]) -> tuple:
 
 
 def dual(c: Sequence[int]) -> tuple:
-    """The row w with w . x = <c, x>, the one place that splits a vector
-    into its halves: the twist along c is x + e <c, x> c."""
+    """The row w with w . x = <c, x>; the one split of a vector into halves."""
     g = len(c) // 2
     return (*map(neg, c[g:]), *c[:g])
 
@@ -170,8 +168,7 @@ def is_anti_symplectic(a: IntMatrix) -> bool:
     """True iff a reverses the intersection form: <a e_i, a e_j> = -<e_i, e_j>.
 
     The matrix of pairings a^T J a is antisymmetric, so only the pairs of
-    columns i < j are checked: dual(col_i) . col_j must be -1 for
-    j = i + g and 0 otherwise.
+    columns i < j are checked: dual(col_i) . col_j = -1 for j = i + g, else 0.
     """
     g = a.genus
     cols, duals = _column_duals(a)
@@ -183,10 +180,9 @@ def is_anti_symplectic(a: IntMatrix) -> bool:
 
 
 def is_skew_adjoint(a: IntMatrix) -> bool:
-    """True iff a = J a^T J, that is iff J a = -a^T J = (J a)^T is
-    symmetric: on the column duals, the rows of a^T J, dual(col_i)[j] =
-    dual(col_j)[i].  An anti-symplectic a has a^-1 = J a^T J, so it is
-    an involution iff this holds.  O(n^2) comparisons, no product."""
+    """True iff a = J a^T J, that is iff J a = -a^T J = (J a)^T: on the
+    column duals, the rows of a^T J, dual(col_i)[j] = dual(col_j)[i].  An
+    anti-symplectic a has a^-1 = J a^T J, so it is an involution iff this holds."""
     duals = _column_duals(a)[1]
     return duals == list(zip(*duals))
 
