@@ -477,8 +477,8 @@ def test_recursive_invariance_rejects_mismatched_pair_exponents():
 
 def test_recursive_invariance_takes_negated_curves():
     # curves built directly with a negative first coordinate, which
-    # TwistWord accepts: s fixes -a up to sign, and the block swap takes
-    # e1+f2 to -(f1+e2)
+    # TwistWord accepts: s fixes (-1, 0) up to sign, and a block-swap pair
+    # meets condition (ii) with its second curve negated
     s = IntMatrix.from_rows([[1, 0], [0, -1]])
     minus_a = CurveClass((-1, 0))
     assert validate_recursive_invariance(tw((minus_a, 1)), s) == {"all_ok": True, "factors": [
@@ -486,7 +486,7 @@ def test_recursive_invariance_takes_negated_curves():
     factor_palindrome([minus_a], [1], s)
     w, s = _genus2_swap_pair(2, 2)
     (image, e), (gamma, _) = w.factors
-    negated = TwistWord.of([(CurveClass(tuple(-x for x in image.coords)), e), (gamma, e)], genus=2)
+    negated = TwistWord.of([(_flip(image), e), (gamma, e)], genus=2)
     report = validate_recursive_invariance(negated, s)
     assert report["all_ok"] and {x["condition"] for x in report["factors"]} == {"ii"}
 
