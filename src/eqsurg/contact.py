@@ -4,14 +4,15 @@ Converts surface-framed smooth coefficients to contact coefficients,
 classifies the real structure on the glued-back solid torus of a contact
 1/q-surgery, checks which slopes admit equivariantly tight solid tori,
 and promotes a SurgeryDiagram to a ContactDiagram with per-knot verdicts.
+The records are tuples (see `eqsurg.matrices`).
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
-from typing import Union
+from typing import NamedTuple, Union
 
 from .matrices import CurveClass
 from .surgery import (
@@ -43,23 +44,19 @@ class RunList(list):
             self += [item] * k
 
 
-@dataclass(frozen=True)
-class Slope:
+class Slope(namedtuple("Slope", "num den")):
     """Boundary slope num/den, normalized to den >= 0; 1/0 is infinity."""
 
-    num: int
-    den: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.num == 0 and self.den == 0:
+    def __new__(cls, num: int, den: int) -> "Slope":
+        if num == 0 and den == 0:
             raise ContactError("slope 0/0 is undefined")
-        g = gcd(self.num, self.den)
-        norm_num, norm_den = self.num // g, self.den // g
-        if norm_den < 0:
-            norm_num, norm_den = -norm_num, -norm_den
-        if (norm_num, norm_den) != (self.num, self.den):
-            object.__setattr__(self, "num", norm_num)
-            object.__setattr__(self, "den", norm_den)
+        g = gcd(num, den)
+        num, den = num // g, den // g
+        if den < 0:
+            num, den = -num, -den
+        return tuple.__new__(cls, (num, den))
 
 
 def tight_solid_torus_exists(t: TorusType, s: Slope) -> bool:
@@ -82,8 +79,7 @@ class IllegalReason(enum.Enum):
     POSITIVE_C4_MIDDLE = "PositiveC4Middle"
 
 
-@dataclass(frozen=True)
-class Illegal:
+class Illegal(NamedTuple):
     reason: IllegalReason
 
 
@@ -134,8 +130,7 @@ class TightnessHint(enum.Enum):
     UNKNOWN = "Unknown"
 
 
-@dataclass(frozen=True)
-class ContactKnotData:
+class ContactKnotData(NamedTuple):
     tw_h: int
     tb: int
     contact_coeff: int
@@ -146,8 +141,7 @@ class ContactKnotData:
         return not isinstance(self.glue_back, Illegal)
 
 
-@dataclass(frozen=True)
-class ContactDiagram:
+class ContactDiagram(NamedTuple):
     base: SurgeryDiagram
     knot_data: tuple[ContactKnotData, ...]  # aligned with base.knots
 

@@ -6,14 +6,15 @@ every r_i <= -2.  Both use the nested expression r_1 - 1/(r_2 - ...).
 A run of terms 2 (or -2) is found in one step: it has q // (p - q)
 terms, a quotient of Euclid's algorithm on (q, p - q).  An expansion is
 held as its runs of equal terms, so p/(p - 1) = [2, ..., 2] is one run
-however large p is.
+however large p is.  `ContFrac` is a tuple (see `eqsurg.matrices`)
+whose `len` is its term count.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import chain, repeat
 from typing import Iterator
 
@@ -27,26 +28,30 @@ class BadInput(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ContFrac:
+class ContFrac(namedtuple("ContFrac", "runs flavor")):
     """The terms as maximal runs (term, count) of equal terms, in order;
-    `terms` is the flat view, built on each read."""
+    `terms` is the flat view, built on each read.
 
-    runs: tuple[tuple[int, int], ...]
-    flavor: Flavor
+    `len` is the number of terms, not of fields, so `_make` and `_replace`,
+    which check the field count by `len`, raise TypeError here.
+    """
 
-    def __post_init__(self):
-        if not self.runs:
+    __slots__ = ()
+
+    def __new__(cls, runs: tuple[tuple[int, int], ...], flavor: Flavor) -> "ContFrac":
+        self = tuple.__new__(cls, (runs, flavor))
+        if not runs:
             raise BadInput("continued fraction needs at least one term")
-        positive, previous = self.flavor is Flavor.POSITIVE, None
-        for r, k in self.runs:
+        positive, previous = flavor is Flavor.POSITIVE, None
+        for r, k in runs:
             if k < 1 or r == previous:
-                raise BadInput(f"runs must be maximal, with counts >= 1, got {self.runs}")
+                raise BadInput(f"runs must be maximal, with counts >= 1, got {runs}")
             if positive and r < 2:
                 raise BadInput(f"positive flavor requires all terms >= 2, got {self.terms}")
             if not positive and r > -2:
                 raise BadInput(f"negative flavor requires all terms <= -2, got {self.terms}")
             previous = r
+        return self
 
     @property
     def terms(self) -> tuple[int, ...]:

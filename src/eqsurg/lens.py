@@ -3,15 +3,16 @@
 Factors the two gluing involutions +-[[-q, p'], [p, q]] of L(p,q) (for
 q^2 = 1 mod p) into mirrored twist words over the standard base, verifies
 them against the target matrix, emits surgery and contact diagrams, and
-provides the S^1 x S^2, RP^3 and chain-of-unknots catalogs.
+provides the S^1 x S^2, RP^3 and chain-of-unknots catalogs.  The records
+are tuples (see `eqsurg.matrices`), which no JSON document holds.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from collections import namedtuple
+from typing import Iterator, NamedTuple, Optional
 
 from .contact import ContactDiagram, Illegal, RunList, TightnessHint, legalize
 from .contfrac import BadInput, ContFrac, Flavor, check_pq, expand, honda_count, is_palindrome
@@ -47,22 +48,19 @@ class Variant(enum.Enum):
         raise BadInput(f"unknown variant {text!r}")
 
 
-@dataclass(frozen=True)
-class LensTarget:
+class LensTarget(namedtuple("LensTarget", "p q variant")):
     """Gluing involution of L(p,q): +-[[-q, p'], [p, q]] with q^2 + p*p' = 1."""
 
-    p: int
-    q: int
-    variant: Variant
+    __slots__ = ()
 
-    def __post_init__(self):
-        p, q = self.p, self.q
+    def __new__(cls, p: int, q: int, variant: Variant) -> "LensTarget":
         check_pq(p, q)
         if (q * q) % p != 1:
             raise BadInput(
                 f"q^2 = {q * q % p} mod {p}; the gluing map is an involution "
                 "only when q^2 = 1 mod p"
             )
+        return tuple.__new__(cls, (p, q, variant))
 
     @property
     def p_prime(self) -> int:
@@ -239,8 +237,7 @@ def diagram_documents(contact: ContactDiagram) -> tuple[dict, dict]:
     return diagram, contact_doc
 
 
-@dataclass(frozen=True)
-class BuildReport:
+class BuildReport(NamedTuple):
     """A finished build; `contact` is None when the word has no equivariant shape."""
 
     target: LensTarget
@@ -334,8 +331,7 @@ def build(p: int, q: int, variant: Variant) -> BuildReport:
 # Catalogs
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     name: str
     word: TwistWord
     expected_matrix: IntMatrix
@@ -412,8 +408,7 @@ def catalog_rp3() -> CatalogEntry:
 # Chains of unknots
 
 
-@dataclass(frozen=True)
-class ChainReport:
+class ChainReport(NamedTuple):
     p: int
     q: int
     coefficients: tuple[int, ...]

@@ -9,12 +9,17 @@ twist is the rank-1 update `shear` of a vector.  The form J is written
 only in `dual`.  The real-structure checks build no product matrix but
 read the column duals, the rows of a^T J: the pairings of the columns
 decide anti-symplectic, and then J a symmetric decides an involution.
+
+Every value record in the package is a tuple: a `NamedTuple`, or a
+`namedtuple` subclass whose `__new__` checks its fields.  So `==` and
+hashing run in C, and importing the package loads no `dataclasses`.  The
+cost: a record equals, and orders like, a plain tuple of its fields, and
+`_replace` and `_make` skip the checks in `__new__`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import add, mul, neg
 from typing import Iterable, NamedTuple, Sequence
 
@@ -27,8 +32,7 @@ class NotPrimitive(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(NamedTuple):
     """Square integer matrix of even dimension 2g, acting on column vectors."""
 
     rows: tuple[tuple[int, ...], ...]
@@ -116,8 +120,7 @@ class CurveClass(NamedTuple):
         return CurveClass.from_coords(m.apply(self.coords))
 
 
-@dataclass(frozen=True)
-class SymplecticForm:
+class SymplecticForm(NamedTuple):
     """Standard alternating form on Z^{2g} with <e_i, e_{g+i}> = 1."""
 
     genus: int
@@ -164,14 +167,10 @@ def _column_duals(a: IntMatrix) -> tuple[list, list]:
     return cols, list(map(dual, cols))
 
 
-def is_anti_symplectic(a: IntMatrix) -> bool:
-    """True iff a reverses the intersection form: <a e_i, a e_j> = -<e_i, e_j>.
-
-    The matrix of pairings a^T J a is antisymmetric, so only the pairs of
-    columns i < j are checked: dual(col_i) . col_j = -1 for j = i + g, else 0.
-    """
-    g = a.genus
-    cols, duals = _column_duals(a)
+def _reverses_form(cols: list, duals: list) -> bool:
+    """True iff dual(col_i) . col_j = -1 for j = i + g, else 0, over i < j:
+    the matrix of pairings a^T J a is antisymmetric, so these pairs decide it."""
+    g = len(cols) // 2
     for i, w in enumerate(duals):
         for j in range(i + 1, 2 * g):
             if sum(map(mul, w, cols[j])) != -(j == i + g):
@@ -179,14 +178,24 @@ def is_anti_symplectic(a: IntMatrix) -> bool:
     return True
 
 
-def is_skew_adjoint(a: IntMatrix) -> bool:
-    """True iff a = J a^T J, that is iff J a = -a^T J = (J a)^T: on the
-    column duals, the rows of a^T J, dual(col_i)[j] = dual(col_j)[i].  An
-    anti-symplectic a has a^-1 = J a^T J, so it is an involution iff this holds."""
-    duals = _column_duals(a)[1]
+def _duals_symmetric(duals: list) -> bool:
+    """dual(col_i)[j] = dual(col_j)[i]: J a = -a^T J = (J a)^T."""
     return duals == list(zip(*duals))
 
 
+def is_anti_symplectic(a: IntMatrix) -> bool:
+    """True iff a reverses the intersection form: <a e_i, a e_j> = -<e_i, e_j>."""
+    return _reverses_form(*_column_duals(a))
+
+
+def is_skew_adjoint(a: IntMatrix) -> bool:
+    """True iff a = J a^T J, read on the column duals, the rows of a^T J.  An
+    anti-symplectic a has a^-1 = J a^T J, so it is an involution iff this holds."""
+    return _duals_symmetric(_column_duals(a)[1])
+
+
 def is_real_structure(a: IntMatrix) -> bool:
-    """True iff a is an anti-symplectic involution; no product is computed."""
-    return is_anti_symplectic(a) and is_skew_adjoint(a)
+    """True iff a is an anti-symplectic involution; no product is computed,
+    and the column duals are taken once for both tests."""
+    cols, duals = _column_duals(a)
+    return _reverses_form(cols, duals) and _duals_symmetric(duals)

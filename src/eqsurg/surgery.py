@@ -3,14 +3,14 @@
 Covers the four solid-torus real structures, the extension rule for a
 (p/q)-surgery along a c_i-knot, surgery type labels i_j, and the
 conversion of a validated equivariant twist word into a leveled surgery
-diagram.
+diagram.  The records are tuples (see `eqsurg.matrices`).
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Optional
+from collections import namedtuple
+from typing import NamedTuple, Optional
 
 from .matrices import CurveClass
 from .words import EquivariantShape, curve_name
@@ -29,22 +29,19 @@ class SurgeryError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SurgerySpec:
+class SurgerySpec(namedtuple("SurgerySpec", "p q p_prime q_prime")):
     """Gluing data of a (p/q)-surgery: meridian -> p*mu + q*lambda,
     longitude -> p'*mu + q'*lambda, with p*q' - q*p' = -1."""
 
-    p: int
-    q: int
-    p_prime: int
-    q_prime: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.p * self.q_prime - self.q * self.p_prime != -1:
+    def __new__(cls, p: int, q: int, p_prime: int, q_prime: int) -> "SurgerySpec":
+        if p * q_prime - q * p_prime != -1:
             raise SurgeryError(
                 f"invalid gluing data: p*q' - q*p' = "
-                f"{self.p * self.q_prime - self.q * self.p_prime}, expected -1"
+                f"{p * q_prime - q * p_prime}, expected -1"
             )
+        return tuple.__new__(cls, (p, q, p_prime, q_prime))
 
 
 def extension_type(knot: TorusType, s: SurgerySpec) -> TorusType:
@@ -115,8 +112,7 @@ def knot_type_under_cst(curve: CurveClass) -> TorusType:
         ) from None
 
 
-@dataclass(frozen=True)
-class SurgeryKnot:
+class SurgeryKnot(namedtuple("SurgeryKnot", "level curve coeff torus_type count")):
     """A knot of a leveled surgery link, or a run of `count` parallel copies.
 
     The level gives the role: pair i is the primary knot on level -i and
@@ -125,15 +121,13 @@ class SurgeryKnot:
     for a pair knot.
     """
 
-    level: int
-    curve: CurveClass
-    coeff: int
-    torus_type: Optional[TorusType] = None
-    count: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.count < 1:
-            raise SurgeryError(f"a knot stands for at least one copy, got {self.count}")
+    def __new__(cls, level: int, curve: CurveClass, coeff: int,
+                torus_type: Optional[TorusType] = None, count: int = 1) -> "SurgeryKnot":
+        if count < 1:
+            raise SurgeryError(f"a knot stands for at least one copy, got {count}")
+        return tuple.__new__(cls, (level, curve, coeff, torus_type, count))
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -143,8 +137,7 @@ class SurgeryKnot:
         return type_labels_for_coeff(self.torus_type, self.coeff)
 
 
-@dataclass(frozen=True)
-class SurgeryDiagram:
+class SurgeryDiagram(NamedTuple):
     """A leveled surgery link.
 
     `knots` holds the invariant knots; a knot with `count` m stands for m

@@ -21,15 +21,16 @@ At genus 1 `eval_word` multiplies by `CST` as a column swap of its four
 integer locals, and `CST_IMAGES` holds the image under `CST` of each
 named curve, computed once at import.  At genus >= 2 no function here
 multiplies matrices: each twist shears vectors with `matrices.shear`.
+The records are tuples (see `eqsurg.matrices`).
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import chain
 from operator import add, mul, sub
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .matrices import (
     CurveClass,
@@ -88,37 +89,37 @@ def _flat(runs: tuple[Run, ...]) -> tuple[Factor, ...]:
     return tuple(chain.from_iterable([block * k for block, k in runs]))
 
 
-@dataclass(frozen=True, eq=False)
-class TwistWord:
+class TwistWord(namedtuple("TwistWord", "runs base genus")):
     """Twist factors (curve, exponent), leftmost first, held as runs
     (block, k), and `CST` or no base.
 
     Run (block, k) stands for the block's factors repeated k >= 1 times.
     Two words are equal, and hash equal, when their flat factors, bases
-    and genera are, however the factors are cut into runs.
+    and genera are, however the factors are cut into runs; `!=` is the
+    negation of that `==`, not the tuple comparison.
     """
 
-    runs: tuple[Run, ...]
-    base: Optional[IntMatrix] = None
-    genus: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.genus < 1:
-            raise WordError(f"genus must be at least 1, got {self.genus}")
-        dim = 2 * self.genus
-        for block, k in self.runs:
+    def __new__(cls, runs: tuple[Run, ...],
+                base: Optional[IntMatrix] = None, genus: int = 1) -> "TwistWord":
+        if genus < 1:
+            raise WordError(f"genus must be at least 1, got {genus}")
+        dim = 2 * genus
+        for block, k in runs:
             if k < 1:
                 raise WordError(f"a run repeats its block at least once, got {k}")
             for c, e in block:
                 if e == 0:
                     raise WordError("twist factor exponent must be nonzero")
                 if len(c.coords) != dim:
-                    raise WordError(f"curve {c.coords} does not match genus {self.genus}")
-        if self.base is not None:
-            if self.base != CST:
+                    raise WordError(f"curve {c.coords} does not match genus {genus}")
+        if base is not None:
+            if base != CST:
                 raise WordError("base must be the standard real structure cst")
-            if self.genus != 1:
-                raise WordError(f"base acts at genus 1 but the word lies at genus {self.genus}")
+            if genus != 1:
+                raise WordError(f"base acts at genus 1 but the word lies at genus {genus}")
+        return tuple.__new__(cls, (runs, base, genus))
 
     @staticmethod
     def of(factors: Sequence[Factor],
@@ -135,6 +136,8 @@ class TwistWord:
             return NotImplemented
         return (self.base == other.base and self.genus == other.genus
                 and self.factors == other.factors)
+
+    __ne__ = object.__ne__  # the negation of __eq__; tuple's would compare runs
 
     def __hash__(self):
         return hash((self.factors, self.base, self.genus))
@@ -343,8 +346,7 @@ def verify_relations(max_exp: int = 10) -> list[dict]:
 # Equivariant product shape
 
 
-@dataclass(frozen=True)
-class EquivariantShape:
+class EquivariantShape(NamedTuple):
     """Parsed mirrored word: outer f-part, invariant middle, mirrored part.
 
     All three are slices of the word's factors: `outer` is the first `t`

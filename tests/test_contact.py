@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -183,7 +181,7 @@ def test_runs_equal_unit_copies(p, q, variant):
     d, c = report.diagram, report.contact
     assert any(k.count > 1 for k in d.knots)
     units = SurgeryDiagram(
-        tuple(dataclasses.replace(k, count=1) for k in d.knots for _ in range(k.count)),
+        tuple(k._replace(count=1) for k in d.knots for _ in range(k.count)),
         d.shape,
     )
     split = legalize(units)
@@ -330,7 +328,7 @@ def test_legal_iff_no_flag_runs_on_the_census(census_500):
 ])
 def test_legal_iff_no_flag_runs_on_hand_built_diagrams(knots):
     contact = legalize(SurgeryDiagram(tuple(knots)))
-    report = dataclasses.replace(build(7, 1, Variant.C), contact=contact)
+    report = build(7, 1, Variant.C)._replace(contact=contact)
     _assert_legal_iff_no_flag_runs(report)
 
 
