@@ -254,6 +254,12 @@ def _knot_lines(doc: dict) -> list[str]:
     return lines
 
 
+def _verified(record) -> bool:
+    """The exit rule of `lens`, `census` and `catalog`: a command exits 1 unless
+    each `BuildReport` or `CatalogEntry` hits its matrix and has a shape."""
+    return record.matrix_ok and record.contact is not None
+
+
 def cmd_lens(args) -> int:
     if args.p > MAX_P:
         raise UsageError(f"--p must be at most {MAX_P}, got {args.p}")
@@ -275,9 +281,7 @@ def cmd_lens(args) -> int:
         return "\n".join(lines)
 
     _emit(doc, args.format, text)
-    if not (report.matrix_ok and report.shape_ok):
-        return EXIT_VERIFY
-    return EXIT_OK
+    return EXIT_OK if _verified(report) else EXIT_VERIFY
 
 
 def cmd_census(args) -> int:
@@ -300,7 +304,7 @@ def cmd_census(args) -> int:
     for p, q in admissible_pairs(args.max_p):
         for variant in (Variant.C, Variant.C_PRIME):
             report = build(p, q, variant)
-            ok = ok and report.matrix_ok and report.shape_ok
+            ok = ok and _verified(report)
             r = report.census_row()
             summary["rows"] += 1
             summary["matrix_ok"] += r["matrix_ok"]
@@ -328,9 +332,8 @@ def cmd_catalog(args) -> int:
         if args.p is not None or args.q is not None:
             raise UsageError(f"catalog {args.name} takes no --p or --q")
         entries = catalog_s1xs2() if args.name == "s1xs2" else [catalog_rp3()]
-        docs = [e.to_json_dict() for e in entries]
-        _emit({"catalog": args.name, "entries": docs}, "json")
-        return EXIT_OK if all(d["matrix_ok"] for d in docs) else EXIT_VERIFY
+        _emit({"catalog": args.name, "entries": [e.to_json_dict() for e in entries]}, "json")
+        return EXIT_OK if all(map(_verified, entries)) else EXIT_VERIFY
     if args.p is None or args.q is None:
         raise UsageError("catalog typeA requires --p and --q")
     # every r_i <= -2, so knot i has |r_i + 1| = -r_i - 1 rotation

@@ -190,14 +190,17 @@ def assemble(word: TwistWord) -> ContactDiagram:
     return legalize(word_to_diagram(validate_equivariant_shape(word)))
 
 
-def diagram_documents(contact: ContactDiagram) -> tuple[dict, dict]:
+def diagram_documents(contact: Optional[ContactDiagram]) -> tuple[Optional[dict], ...]:
     """The JSON documents of the surgery diagram `contact.base` and of
-    `contact`, from one pass over `contact.entries()`.
+    `contact`, from one pass over `contact.entries()`; (None, None) for a
+    word with no shape (`contact` None).
 
     Each knot list is a RunList with one run (document, `count`) per knot,
     so the copies of a run share one dict; a contact knot document is the
     knot document plus its contact data.
     """
+    if contact is None:
+        return None, None
     knots, contact_knots = [], []
     for knot, data in contact.entries():
         if knot.torus_type is not None:
@@ -284,9 +287,7 @@ class BuildReport(NamedTuple):
         }
 
     def to_json_dict(self) -> dict:
-        diagram = contact = None
-        if self.contact is not None:
-            diagram, contact = diagram_documents(self.contact)
+        diagram, contact = diagram_documents(self.contact)
         return {
             "p": self.target.p,
             "q": self.target.q,
@@ -304,12 +305,23 @@ class BuildReport(NamedTuple):
         }
 
 
+def _verify(word: TwistWord, expected: IntMatrix) -> tuple[bool, Optional[ContactDiagram]]:
+    """The one step from a word to its verdicts, for `build` and every catalog
+    entry: whether the word evaluates to `expected`, checked from scratch, and
+    its contact diagram, or None when it has no equivariant shape."""
+    matrix_ok = eval_word(word) == expected
+    try:
+        return matrix_ok, assemble(word)
+    except ShapeError:
+        return matrix_ok, None
+
+
 def build(p: int, q: int, variant: Variant) -> BuildReport:
     """Factor, verify, and legalize the (p, q) gluing of the given variant.
 
     One pass: the factored word is scanned once for the rewrite pattern
-    a^-1 (a+b)^1 b^-1 and rewritten to (a-b)^-1 if it is there; the final
-    word is then verified from scratch and assembled, once each.
+    a^-1 (a+b)^1 b^-1 and rewritten to (a-b)^-1 if it is there; `_verify`
+    then checks the final word against the target and assembles it.
     """
     target = LensTarget(p, q, variant)
     cf, word = _word(target)
@@ -319,11 +331,7 @@ def build(p: int, q: int, variant: Variant) -> BuildReport:
     at = find_fix_rule(word)
     if at is not None:
         word = apply_fix_rule(word, at)
-    matrix_ok = eval_word(word) == target.matrix
-    try:
-        contact = assemble(word)
-    except ShapeError:
-        contact = None
+    matrix_ok, contact = _verify(word, target.matrix)
     return BuildReport(target, cf, word, matrix_ok, at is not None, contact)
 
 
@@ -332,22 +340,23 @@ def build(p: int, q: int, variant: Variant) -> BuildReport:
 
 
 class CatalogEntry(NamedTuple):
+    """A catalog word with its verdicts from `_verify`, taken once when the
+    catalog is built; `contact` is None when the word has no shape."""
+
     name: str
     word: TwistWord
     expected_matrix: IntMatrix
     summary: str
     tightness_hint: TightnessHint
-
-    @property
-    def matrix_ok(self) -> bool:
-        return eval_word(self.word) == self.expected_matrix
+    matrix_ok: bool
+    contact: Optional[ContactDiagram]
 
     def diagrams(self) -> tuple[SurgeryDiagram, ContactDiagram]:
-        contact = assemble(self.word)
-        return contact.base, contact
+        """The surgery and the contact diagram of an entry with a shape."""
+        return self.contact.base, self.contact
 
     def to_json_dict(self) -> dict:
-        diagram, contact = diagram_documents(assemble(self.word))
+        diagram, contact = diagram_documents(self.contact)
         return {
             "name": self.name,
             "word": format_word(self.word),
@@ -360,48 +369,34 @@ class CatalogEntry(NamedTuple):
         }
 
 
+def _entry(name: str, factors, expected: list, summary: str, hint: TightnessHint) -> CatalogEntry:
+    """The catalog entry of the word `factors | cst`, verified against `expected`."""
+    word, matrix = TwistWord.of(factors, base=CST), IntMatrix.from_rows(expected)
+    return CatalogEntry(name, word, matrix, summary, hint, *_verify(word, matrix))
+
+
 def catalog_s1xs2() -> list[CatalogEntry]:
     """The four real structures on S^1 x S^2 with their surgery diagrams."""
     return [
-        CatalogEntry(
-            "s1",
-            TwistWord.of([(CURVE_APB, -1)], base=CST),
-            IntMatrix.from_rows([[-1, 2], [0, 1]]),
-            "equivariant (-1)-surgery of type 4_2 on the unknot a+b",
-            TightnessHint.TIGHT,
-        ),
-        CatalogEntry(
-            "s2",
-            TwistWord.of([(CURVE_AMB, 1)], base=CST),
-            IntMatrix.from_rows([[1, 2], [0, -1]]),
-            "equivariant (+1)-surgery of type 1_1 on the unknot a-b",
-            TightnessHint.TIGHT,
-        ),
-        CatalogEntry(
-            "s3",
-            TwistWord.of([(CURVE_B, -1), (CURVE_A, -1)], base=CST),
-            IntMatrix.from_rows([[-1, 1], [0, 1]]),
-            "equivariant (+1)-surgery of type 5 on the Hopf pair (a, b)",
-            TightnessHint.TIGHT,
-        ),
-        CatalogEntry(
-            "s4",
-            TwistWord.of([(CURVE_B, 1), (CURVE_A, 1)], base=CST),
-            IntMatrix.from_rows([[1, 1], [0, -1]]),
-            "equivariant (-1)-surgery of type 5 on the Hopf pair (a, b)",
-            TightnessHint.OVERTWISTED,
-        ),
+        _entry("s1", [(CURVE_APB, -1)], [[-1, 2], [0, 1]],
+               "equivariant (-1)-surgery of type 4_2 on the unknot a+b",
+               TightnessHint.TIGHT),
+        _entry("s2", [(CURVE_AMB, 1)], [[1, 2], [0, -1]],
+               "equivariant (+1)-surgery of type 1_1 on the unknot a-b",
+               TightnessHint.TIGHT),
+        _entry("s3", [(CURVE_B, -1), (CURVE_A, -1)], [[-1, 1], [0, 1]],
+               "equivariant (+1)-surgery of type 5 on the Hopf pair (a, b)",
+               TightnessHint.TIGHT),
+        _entry("s4", [(CURVE_B, 1), (CURVE_A, 1)], [[1, 1], [0, -1]],
+               "equivariant (-1)-surgery of type 5 on the Hopf pair (a, b)",
+               TightnessHint.OVERTWISTED),
     ]
 
 
 def catalog_rp3() -> CatalogEntry:
-    return CatalogEntry(
-        "rp3",
-        TwistWord.of([(CURVE_AMB, -1)], base=CST),
-        IntMatrix.from_rows([[-1, 0], [2, 1]]),
-        "RP^3: a single equivariant (-1)-surgery of type 1_1 on the unknot a-b",
-        TightnessHint.TIGHT,
-    )
+    return _entry("rp3", [(CURVE_AMB, -1)], [[-1, 0], [2, 1]],
+                  "RP^3: a single equivariant (-1)-surgery of type 1_1 on the unknot a-b",
+                  TightnessHint.TIGHT)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from eqsurg import cli
 from eqsurg.cli import _encode, main
 from eqsurg.contact import RunList
 from eqsurg.contfrac import BadInput
+from eqsurg.lens import Variant, admissible_pairs, build, catalog_rp3, catalog_s1xs2
 
 
 def _dumps(obj) -> str:
@@ -93,6 +94,52 @@ def test_catalog_rp3(capsys):
     code, out, _ = run(capsys, "catalog", "rp3")
     assert code == 0
     assert json.loads(out)["entries"][0]["word"] == "(a-b)^-1 | cst"
+
+
+def _failing(command, fields):
+    """argv, the `cli` name of the record source it reads, that source with
+    `fields` replaced in every record it returns, and the document printed."""
+    def failing_build(p, q, variant):
+        return build(p, q, variant)._replace(**fields)
+
+    if command == "lens":
+        return (["lens", "--p", "7", "--q", "1"], "build", failing_build,
+                failing_build(7, 1, Variant.C).to_json_dict())
+    if command == "census":
+        rows = [failing_build(p, q, v).census_row()
+                for p, q in admissible_pairs(7) for v in Variant]
+        summary = {
+            "rows": len(rows),
+            "matrix_ok": sum(r["matrix_ok"] for r in rows),
+            "legal": sum(r["legal"] for r in rows),
+            "flagged": sum(bool(r["flags"]) for r in rows),
+            "fix_rule_applied": sum(r["fix_rule_applied"] for r in rows),
+        }
+        return (["census", "--max-p", "7"], "build", failing_build,
+                {"max_p": 7, "rows": rows, "summary": summary})
+    if command == "s1xs2":
+        entries = [e._replace(**fields) for e in catalog_s1xs2()]
+        source = "catalog_s1xs2", lambda: entries
+    else:
+        entries = [catalog_rp3()._replace(**fields)]
+        source = "catalog_rp3", lambda: entries[0]
+    return (["catalog", command], *source,
+            {"catalog": command, "entries": [e.to_json_dict() for e in entries]})
+
+
+@pytest.mark.parametrize("fields", [{"matrix_ok": False}, {"contact": None}],
+                         ids=["matrix", "shapeless"])
+@pytest.mark.parametrize("command", ["lens", "census", "s1xs2", "rp3"])
+def test_failed_record_exits_1_after_the_whole_document(capsys, monkeypatch, command, fields):
+    # `lens`, `census` and `catalog` read one exit rule from their records:
+    # a word that misses its matrix or has no equivariant shape exits 1
+    argv, name, source, doc = _failing(command, fields)
+    monkeypatch.setattr(cli, name, source)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (1, "")
+    assert out == _dumps(doc) + "\n"
+    if "contact" in fields and command != "census":
+        assert '"diagram": null' in out and '"contact": null' in out
 
 
 def test_catalog_type_a(capsys):

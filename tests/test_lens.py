@@ -190,6 +190,7 @@ def test_build_report_without_shape():
     with pytest.raises(ShapeError):
         validate_equivariant_shape(word)
     r = BuildReport(target, expand(3, 1), word, eval_word(word) == target.matrix, False, None)
+    assert eqsurg.lens._verify(word, target.matrix) == (r.matrix_ok, None)
     assert r.shape_ok is False and r.diagram is None
     assert r.legal is False and r.flags == []
     doc = r.to_json_dict()
@@ -296,6 +297,28 @@ def test_catalog_rp3_entry():
     assert e.matrix_ok
     d, c = e.diagrams()
     assert len(d.knots) == 1 and c.overall_legal
+
+
+def test_catalog_entry_runs_each_stage_once(monkeypatch):
+    # each entry's word is verified and assembled once, while the catalog
+    # is built; reading its verdicts, diagrams and document runs no stage
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append((name, args))
+            return fn(*args)
+        return wrapper
+
+    for name in ("eval_word", "assemble"):
+        monkeypatch.setattr(f"eqsurg.lens.{name}", counted(name, getattr(eqsurg.lens, name)))
+    entries = [*catalog_s1xs2(), catalog_rp3()]
+    assert calls == [(name, (e.word,)) for e in entries for name in ("eval_word", "assemble")]
+    del calls[:]
+    for e in entries:
+        first, second = [(e.matrix_ok, e.diagrams(), e.to_json_dict()) for _ in range(2)]
+        assert first == second and first[0] and first[1] == (e.contact.base, e.contact)
+    assert calls == []
 
 
 def test_type_a_chain_values():
