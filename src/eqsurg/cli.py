@@ -83,6 +83,17 @@ MAX_EXP = 1000
 MAX_ROTATION_CHOICES = 100_000
 
 
+# A run of copies of one document is emitted as references to one block
+# of whole copies of at most this many characters (the text is ASCII, so
+# also bytes), not as one string of every copy: that string is about 3 MB
+# for `lens --p 10000 --q 1`, and it is allocated and touched before a byte
+# is written.  glibc by default serves an allocation of 128 KiB or more
+# with its own mmap, whose pages fault in again on every use; over the
+# `wide_middle` commands, 16-64 KiB read fastest, against 8, 128 and
+# 256 KiB.
+_BLOCK_CHARS = 32 * 1024
+
+
 # Python's int/str digit limit guards against quadratic conversions; a
 # result past it is reported, not printed.
 _TOO_LONG = "the result holds an integer too long to print"
@@ -99,10 +110,15 @@ def _encode(obj, indent: str, out: list) -> None:
     is exactly str or int shares its key's chunk, and a list of exact
     ints is one chunk (its first item is tested before the list is
     scanned, so a list of documents is not).  A `RunList` is encoded run
-    by run: run (item, k) is encoded once, as text t, and emitted as the
-    chunks (t + sep) * (k - 1), one string repeat in C, and t, where the
-    stdlib's indented (pure-Python) encoder encodes every copy.  Any
-    other list is encoded item by item.
+    by run, where the stdlib's indented (pure-Python) encoder encodes
+    every copy.  A run of one copy is encoded like a list item.  A run
+    (item, k) of more copies is encoded once, as text t, and emitted as q
+    references to one block, (t + sep) * m, then (t + sep) * r and t,
+    with q, r = divmod(k - 1, m) and m the most copies that fit in
+    `_BLOCK_CHARS` (at least one, so a longer copy still goes out whole),
+    and at most k - 1.  So no run costs more than one block and one
+    remainder, whatever k.
+    Any other list is encoded item by item.
     """
     if isinstance(obj, str):
         out.append(encode_basestring_ascii(obj))
@@ -126,10 +142,18 @@ def _encode(obj, indent: str, out: list) -> None:
         out.append("[\n" + inner)
         if type(obj) is RunList:
             for item, k in obj.runs:
-                chunks: list = []
-                _encode(item, inner, chunks)
-                text = "".join(chunks)
-                out += ((text + sep) * (k - 1), text, sep)
+                if k == 1:
+                    _encode(item, inner, out)
+                else:
+                    chunks: list = []
+                    _encode(item, inner, chunks)
+                    text = "".join(chunks)
+                    copy = text + sep
+                    m = min(_BLOCK_CHARS // len(copy) or 1, k - 1)
+                    q, r = divmod(k - 1, m)
+                    out += [copy * m] * q
+                    out += (copy * r, text)
+                out.append(sep)
         else:
             for item in obj:
                 _encode(item, inner, out)
@@ -212,8 +236,9 @@ def _emit(doc: dict, fmt: str, text_renderer=None) -> None:
 
     The whole document is encoded before anything is written, so an
     integer past the digit limit prints nothing.  The chunks then go out
-    through one `writelines`, without a join, so the repeated text of a
-    middle run is written as it is.
+    through one `writelines`, without a join, so a middle run is written
+    as references to its one bounded block, and no string of all its
+    copies is ever made.
     """
     out: list = []
     try:

@@ -732,6 +732,49 @@ def test_emit_writes_json_dumps(doc):
     assert out.getvalue() == json.dumps(doc, indent=2) + "\n"
 
 
+# Run units for the block arithmetic of `_encode`.  At the top level a run
+# item is written at indent "  " and followed by ",\n  ", so one copy of a
+# string of n characters is n + 6 characters long.
+_BLOCK = cli._BLOCK_CHARS
+_KNOT = {"level": 3, "curve": [1, -2], "coeff": "+1", "type": "c4", "legal": True}
+
+
+@pytest.mark.parametrize("unit", [
+    _KNOT,  # many copies to a block
+    "x" * (_BLOCK // 3 - 6),  # three copies to a block
+    "x" * (_BLOCK - 7),  # one copy just under the bound
+    "x" * (_BLOCK - 6),  # one copy exactly at the bound
+    "x" * (_BLOCK - 5),  # one copy just over the bound
+    "x" * (2 * _BLOCK),  # one copy twice the bound
+], ids=["knot", "third", "under", "at", "over", "twice"])
+@pytest.mark.parametrize("extra", ["m-1", "m", "m+1", "2m+1"])
+def test_runs_across_block_boundaries(unit, extra):
+    copy = len(_dumps([unit, unit])) - len(_dumps([unit]))  # the text and ",\n  "
+    m = max(1, _BLOCK // copy)
+    k = 1 + {"m-1": m - 1, "m": m, "m+1": m + 1, "2m+1": 2 * m + 1}[extra]
+    doc = RunList([(unit, k), ("tail", 1), (unit, 2)])
+    expected = json.dumps(doc, indent=2)
+    assert _dumps(doc) == expected
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit(doc, "json")
+    assert out.getvalue() == expected + "\n"
+
+
+def test_run_chunks_are_bounded():
+    # `lens --p 10000 --q 1`: runs of 9,999 knots, every copy far shorter
+    # than the bound, so no chunk is longer than the bound
+    doc = build(10000, 1, Variant.C).to_json_dict()
+    runs = doc["diagram"]["knots"].runs + doc["contact"]["knots"].runs
+    assert max(k for _, k in runs) == 9999
+    assert max(len(_dumps(item)) for item, _ in runs) < _BLOCK // 4
+    chunks: list = []
+    _encode(doc, "", chunks)
+    assert max(map(len, chunks)) <= _BLOCK
+    digest = hashlib.sha256(("".join(chunks) + "\n").encode()).hexdigest()
+    assert digest == "062f01a1c08b054726f2f404597380dee4c045d3049c9f132ed3b6c01963e5d1"
+
+
 class _Report:
     """Stands in for a `BuildReport` whose document is drawn."""
 
