@@ -111,14 +111,14 @@ def _encode(obj, indent: str, out: list) -> None:
     ints is one chunk (its first item is tested before the list is
     scanned, so a list of documents is not).  A `RunList` is encoded run
     by run, where the stdlib's indented (pure-Python) encoder encodes
-    every copy.  A run of one copy is encoded like a list item.  A run
-    (item, k) of more copies is encoded once, as text t, and emitted as q
-    references to one block, (t + sep) * m, then (t + sep) * r and t,
-    with q, r = divmod(k - 1, m) and m the most copies that fit in
-    `_BLOCK_CHARS` (at least one, so a longer copy still goes out whole),
-    and at most k - 1.  So no run costs more than one block and one
-    remainder, whatever k.
-    Any other list is encoded item by item.
+    every copy.  Run (item, k) is encoded once, as one string t (its
+    chunks would each stay alive as an object), and emitted as t and sep
+    when k = 1.  A longer run is emitted as q references to one block,
+    (t + sep) * m, then (t + sep) * r, t and sep, with q, r =
+    divmod(k - 1, m) and m the most copies that fit in `_BLOCK_CHARS`
+    (at least one, so a longer copy still goes out whole, and at most
+    k - 1).  So no run costs more than one block and one remainder,
+    whatever k.  Any other list is encoded item by item.
     """
     if isinstance(obj, str):
         out.append(encode_basestring_ascii(obj))
@@ -142,18 +142,16 @@ def _encode(obj, indent: str, out: list) -> None:
         out.append("[\n" + inner)
         if type(obj) is RunList:
             for item, k in obj.runs:
-                if k == 1:
-                    _encode(item, inner, out)
-                else:
-                    chunks: list = []
-                    _encode(item, inner, chunks)
-                    text = "".join(chunks)
+                chunks: list = []
+                _encode(item, inner, chunks)
+                text = "".join(chunks)
+                if k > 1:
                     copy = text + sep
                     m = min(_BLOCK_CHARS // len(copy) or 1, k - 1)
                     q, r = divmod(k - 1, m)
                     out += [copy * m] * q
-                    out += (copy * r, text)
-                out.append(sep)
+                    out.append(copy * r)
+                out += (text, sep)
         else:
             for item in obj:
                 _encode(item, inner, out)
