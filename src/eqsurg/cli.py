@@ -1,10 +1,12 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 verification failure, 2 inadmissible input,
-64 usage error.  `main` maps a `UsageError` to 64 and a `BadInput` to 2;
-`factor-palindrome` maps its own `WordError` to 2.  When stdout closes
-before the output is written (`eqsurg census --max-p 300 | head -c 10`),
-the command stops at the failed write and exits 1 without a message.
+64 usage error.  Each `cmd_*` returns its verdict, true when everything
+it printed verified, and `main` alone turns an outcome into an exit code:
+a verdict to 0 or 1, a `UsageError` to 64 and a `BadInput` to 2.  When
+stdout closes before the output is written
+(`eqsurg census --max-p 300 | head -c 10`), the command stops at the
+failed write and exits 1 without a message.
 """
 
 from __future__ import annotations
@@ -278,12 +280,12 @@ def _knot_lines(doc: dict) -> list[str]:
 
 
 def _verified(record) -> bool:
-    """The exit rule of `lens`, `census` and `catalog`: a command exits 1 unless
-    each `BuildReport` or `CatalogEntry` hits its matrix and has a shape."""
+    """The verdict of `lens`, `census` and `catalog`: each `BuildReport` or
+    `CatalogEntry` hits its matrix and has a shape."""
     return record.matrix_ok and record.contact is not None
 
 
-def cmd_lens(args) -> int:
+def cmd_lens(args) -> bool:
     if args.p > MAX_P:
         raise UsageError(f"--p must be at most {MAX_P}, got {args.p}")
     variant = Variant.parse(args.variant)  # a bad variant before a bad (p, q)
@@ -304,10 +306,10 @@ def cmd_lens(args) -> int:
         return "\n".join(lines)
 
     _emit(doc, args.format, text)
-    return EXIT_OK if _verified(report) else EXIT_VERIFY
+    return _verified(report)
 
 
-def cmd_census(args) -> int:
+def cmd_census(args) -> bool:
     if args.max_p < 2:
         raise UsageError("--max-p must be at least 2")
     if args.max_p > MAX_CENSUS_P:
@@ -346,17 +348,17 @@ def cmd_census(args) -> int:
         _encode(summary, "  ", out)
         out.append("\n}\n")
         write("".join(out))
-    return EXIT_OK if ok else EXIT_VERIFY
+    return ok
 
 
-def cmd_catalog(args) -> int:
+def cmd_catalog(args) -> bool:
     _json_only(args)
     if args.name != "typeA":  # s1xs2 or rp3, a one-entry catalog
         if args.p is not None or args.q is not None:
             raise UsageError(f"catalog {args.name} takes no --p or --q")
         entries = catalog_s1xs2() if args.name == "s1xs2" else [catalog_rp3()]
         _emit({"catalog": args.name, "entries": [e.to_json_dict() for e in entries]}, "json")
-        return EXIT_OK if all(map(_verified, entries)) else EXIT_VERIFY
+        return all(map(_verified, entries))
     if args.p is None or args.q is None:
         raise UsageError("catalog typeA requires --p and --q")
     # every r_i <= -2, so knot i has |r_i + 1| = -r_i - 1 rotation
@@ -368,7 +370,7 @@ def cmd_catalog(args) -> int:
         )
     report = type_A_chain(args.p, args.q)
     _emit({"catalog": "typeA", **report.to_json_dict()}, "json")
-    return EXIT_OK
+    return True
 
 
 def _parse_matrix(text: str, what: str) -> IntMatrix:
@@ -382,7 +384,7 @@ def _parse_matrix(text: str, what: str) -> IntMatrix:
         raise UsageError(f"{what}: {exc}") from None
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> bool:
     # --genus and --max-exp default to None, so that an option the branch
     # would ignore is refused even when it is given its default value
     if args.relations:
@@ -407,7 +409,7 @@ def cmd_verify(args) -> int:
             return "\n".join(lines)
 
         _emit(doc, args.format, text)
-        return EXIT_OK if ok else EXIT_VERIFY
+        return ok
     genus = 1 if args.genus is None else args.genus
     _check_genus(genus)
     if args.word is None:
@@ -428,12 +430,10 @@ def cmd_verify(args) -> int:
         doc["expected"] = expected.to_lists()
         doc["match"] = value == expected
     _emit(doc, "json")
-    if args.expect is not None and not doc["match"]:
-        return EXIT_VERIFY
-    return EXIT_OK
+    return args.expect is None or doc["match"]
 
 
-def cmd_factor_palindrome(args) -> int:
+def cmd_factor_palindrome(args) -> bool:
     _json_only(args)
     _check_genus(args.genus)
     try:
@@ -453,8 +453,7 @@ def cmd_factor_palindrome(args) -> int:
     try:
         result = factor_palindrome([c for c, _ in factors], [e for _, e in factors], s)
     except WordError as exc:
-        print(f"inadmissible: {exc}", file=sys.stderr)
-        return EXIT_INADMISSIBLE
+        raise BadInput(str(exc)) from None
     try:
         doc = {
             "input": format_word(word),
@@ -464,7 +463,7 @@ def cmd_factor_palindrome(args) -> int:
     except ValueError:  # a curve coordinate past the digit limit
         raise UsageError(_TOO_LONG) from None
     _emit(doc, "json")
-    return EXIT_OK
+    return True
 
 
 def build_parser() -> _Parser:
@@ -539,7 +538,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             args = _PARSER.parse_args(argv)
             if not getattr(args, "command", None):
                 raise UsageError("a command is required")
-        return args.func(args)
+        return EXIT_OK if args.func(args) else EXIT_VERIFY
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -19,7 +19,6 @@ from .contfrac import BadInput, ContFrac, Flavor, check_pq, expand, honda_count,
 from .matrices import IntMatrix
 from .surgery import SurgeryDiagram, word_to_diagram
 from .words import (
-    CST,
     CST_IMAGES,
     CURVE_A,
     CURVE_AMB,
@@ -166,7 +165,7 @@ def _factor(cf: ContFrac, prime: bool) -> TwistWord:
     mirror = [(tuple([(CST_IMAGES[c], e) for c, e in reversed(block)]), k)
               for block, k in reversed(left)]
     middle = tuple(flat + _MIDDLE[prime, n % 4](t) + [(CST_IMAGES[c], e) for c, e in reversed(flat)])
-    return TwistWord(tuple(left + ([(middle, 1)] if middle else []) + mirror), base=CST)
+    return TwistWord(tuple(left + ([(middle, 1)] if middle else []) + mirror), cst=True)
 
 
 def _word(target: LensTarget) -> tuple[ContFrac, TwistWord]:
@@ -371,7 +370,7 @@ class CatalogEntry(NamedTuple):
 
 def _entry(name: str, factors, expected: list, summary: str, hint: TightnessHint) -> CatalogEntry:
     """The catalog entry of the word `factors | cst`, verified against `expected`."""
-    word, matrix = TwistWord.of(factors, base=CST), IntMatrix.from_rows(expected)
+    word, matrix = TwistWord.of(factors, cst=True), IntMatrix.from_rows(expected)
     return CatalogEntry(name, word, matrix, summary, hint, *_verify(word, matrix))
 
 

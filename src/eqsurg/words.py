@@ -2,9 +2,10 @@
 
 A word is an ordered tuple of twist factors (curve, exponent), leftmost
 factor written first, optionally followed by `CST`, the standard real
-structure of S^3 and the only base.  Words evaluate to matrix products with
-the rightmost factor applied first, so the written word g_k ... g_1
-evaluates to M(g_k) @ ... @ M(g_1).
+structure of S^3 and the only base; a word holds that choice as the flag
+`cst`.  Words evaluate to matrix products with the rightmost factor
+applied first, so the written word g_k ... g_1 evaluates to
+M(g_k) @ ... @ M(g_1).
 
 A word is held as runs (block, k): a tuple of factors repeated k times.
 `TwistWord.factors` is the flat view, built on each read; `format_word`
@@ -89,20 +90,19 @@ def _flat(runs: tuple[Run, ...]) -> tuple[Factor, ...]:
     return tuple(chain.from_iterable([block * k for block, k in runs]))
 
 
-class TwistWord(namedtuple("TwistWord", "runs base genus")):
+class TwistWord(namedtuple("TwistWord", "runs cst genus")):
     """Twist factors (curve, exponent), leftmost first, held as runs
-    (block, k), and `CST` or no base.
+    (block, k), followed by the base `CST` when `cst` is true.
 
     Run (block, k) stands for the block's factors repeated k >= 1 times.
-    Two words are equal, and hash equal, when their flat factors, bases
-    and genera are, however the factors are cut into runs; `!=` is the
-    negation of that `==`, not the tuple comparison.
+    `CST` acts at genus 1 only.  Two words are equal, and hash equal, when
+    their flat factors, flags and genera are, however the factors are cut
+    into runs; `!=` is the negation of that `==`, not the tuple comparison.
     """
 
     __slots__ = ()
 
-    def __new__(cls, runs: tuple[Run, ...],
-                base: Optional[IntMatrix] = None, genus: int = 1) -> "TwistWord":
+    def __new__(cls, runs: tuple[Run, ...], cst: bool = False, genus: int = 1) -> "TwistWord":
         if genus < 1:
             raise WordError(f"genus must be at least 1, got {genus}")
         dim = 2 * genus
@@ -114,18 +114,14 @@ class TwistWord(namedtuple("TwistWord", "runs base genus")):
                     raise WordError("twist factor exponent must be nonzero")
                 if len(c.coords) != dim:
                     raise WordError(f"curve {c.coords} does not match genus {genus}")
-        if base is not None:
-            if base != CST:
-                raise WordError("base must be the standard real structure cst")
-            if genus != 1:
-                raise WordError(f"base acts at genus 1 but the word lies at genus {genus}")
-        return tuple.__new__(cls, (runs, base, genus))
+        if cst and genus != 1:
+            raise WordError(f"base acts at genus 1 but the word lies at genus {genus}")
+        return tuple.__new__(cls, (runs, cst, genus))
 
     @staticmethod
-    def of(factors: Sequence[Factor],
-           base: Optional[IntMatrix] = None, genus: int = 1) -> "TwistWord":
+    def of(factors: Sequence[Factor], cst: bool = False, genus: int = 1) -> "TwistWord":
         """The word of these factors as one run."""
-        return TwistWord(((tuple(factors), 1),), base, genus)
+        return TwistWord(((tuple(factors), 1),), cst, genus)
 
     @property
     def factors(self) -> tuple[Factor, ...]:
@@ -134,13 +130,13 @@ class TwistWord(namedtuple("TwistWord", "runs base genus")):
     def __eq__(self, other):
         if not isinstance(other, TwistWord):
             return NotImplemented
-        return (self.base == other.base and self.genus == other.genus
+        return (self.cst == other.cst and self.genus == other.genus
                 and self.factors == other.factors)
 
     __ne__ = object.__ne__  # the negation of __eq__; tuple's would compare runs
 
     def __hash__(self):
-        return hash((self.factors, self.base, self.genus))
+        return hash((self.factors, self.cst, self.genus))
 
 
 def _twist2(m: tuple, block: tuple[Factor, ...]) -> tuple:
@@ -203,10 +199,10 @@ def eval_word(w: TwistWord) -> IntMatrix:
             else:
                 m = _mul2(m, _power(_twist2((1, 0, 0, 1), block), k))
         a, b, c, d = m
-        if w.base is not None:  # the product with CST swaps the columns
+        if w.cst:  # the product with CST swaps the columns
             a, b, c, d = b, a, d, c
         return IntMatrix(((a, b), (c, d)))
-    g = w.genus  # no word carries a base at genus >= 2
+    g = w.genus  # no word carries CST at genus >= 2
     twists = [(e, c.coords, dual(c.coords)) for c, e in w.factors]
     rows = []
     for row in IntMatrix.identity(2 * g).rows:
@@ -230,7 +226,7 @@ def format_word(w: TwistWord) -> str:
             name = f"({name})"
         parts.append(f"{name}^{e}")
     text = " ".join(parts) if parts else "1"
-    if w.base is not None:
+    if w.cst:
         text += " | cst"
     return text
 
@@ -246,18 +242,12 @@ def parse_word(text: str, genus: int = 1) -> TwistWord:
 
     Curves are named a, b, a+b, a-b at genus 1, or given as vectors
     `v[1,0,2,-1]` at any genus.  `| cst` appends the standard genus-1
-    base involution.
+    base involution `CST`: the word's flag `cst` is true.
     """
-    text = text.strip()
-    base = None
-    if "|" in text:
-        word_part, base_part = text.split("|", 1)
-        base_part = base_part.strip()
-        if base_part != "cst":
-            raise WordError(f"unknown base name {base_part!r}")
-        base = CST
-    else:
-        word_part = text
+    word_part, bar, base_part = text.partition("|")
+    base_part = base_part.strip()
+    if bar and base_part != "cst":
+        raise WordError(f"unknown base name {base_part!r}")
     factors = []
     for token in word_part.split():
         if token == "1":
@@ -282,7 +272,7 @@ def parse_word(text: str, genus: int = 1) -> TwistWord:
         else:
             raise WordError(f"unknown curve {cname!r}")
         factors.append((curve, exp))
-    return TwistWord.of(factors, base=base, genus=genus)
+    return TwistWord.of(factors, cst=bool(bar), genus=genus)
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +385,7 @@ def validate_equivariant_shape(w: TwistWord) -> EquivariantShape:
     image of its partner with the same count, then goes on factor by
     factor inside the runs between the last pair.
     """
-    if w.base is None:
+    if not w.cst:
         raise ShapeError("equivariant shape requires a base involution")
     image = _Images(CST_IMAGES)
     runs = w.runs
@@ -525,7 +515,7 @@ def factor_palindrome(
             v = shear(v, e, w_a, c)
         squared.append((CurveClass.from_coords(v), 2 * sigma))  # twists keep v primitive
         done.append((sigma, dual(a), a))
-    return TwistWord.of(squared[::-1], base=None, genus=genus)
+    return TwistWord.of(squared[::-1], genus=genus)
 
 
 # ---------------------------------------------------------------------------
@@ -584,4 +574,4 @@ def apply_fix_rule(w: TwistWord, i: int) -> TwistWord:
     at, tail = _split(rest, 3)
     if i < 0 or _flat(at) != _FIX_PATTERN:
         raise WordError(f"fix-rule pattern a^-1 (a+b)^1 b^-1 not at index {i}")
-    return TwistWord(head + ((((CURVE_AMB, -1),), 1),) + tail, w.base, w.genus)
+    return TwistWord(head + ((((CURVE_AMB, -1),), 1),) + tail, w.cst, w.genus)

@@ -118,9 +118,9 @@ def test_json_row_template_matches_encode(row, lead):
     assert cli._json_row(row, lead) == "".join(out)
 
 
-# Measured on a 2-vCPU Xeon VM with Python 3.11: 17.7 MB streamed, where
+# Measured on a 2-vCPU Xeon VM with Python 3.11: 16.2 MB streamed, where
 # the whole document peaked at 73.0 MB; importing the CLI alone takes
-# about 16.2 MB.
+# about 15.5 MB.
 MAX_CENSUS_RSS_MB = 25
 
 # A wrapper child runs the census as its only child, so RUSAGE_CHILDREN

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import hashlib
 import io
@@ -403,7 +404,7 @@ def _parse_twice(argv):
         args = cli._PARSER.parse_args(argv)
         if not getattr(args, "command", None):
             raise cli.UsageError("a command is required")
-        return args.func(args)
+        return cli.EXIT_OK if args.func(args) else cli.EXIT_VERIFY
     except cli.UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return cli.EXIT_USAGE
@@ -444,6 +445,10 @@ def _any_argv(draw):
 @example(["lens", "--p", "5", "--q", "4", "--help"])
 @example(["census", "--max-p", "3", "--"])
 @example(["--format", "lens", "--p", "5", "--q", "4"])
+@example(["lens", "--p", "5", "--q", "4"])  # exit 0 from the command
+@example(["verify", "--word", "a^1", "--expect", "[[1,0],[0,1]]"])  # exit 1
+@example(["factor-palindrome", "--curves", "a^1"])  # exit 2
+@example(["catalog", "typeA", "--p", "3", "--q", "1"])
 def test_dispatch_matches_the_top_level_parse(argv):
     assert _outcome(main, argv) == _outcome(_parse_twice, argv)
 
@@ -504,8 +509,20 @@ def test_factor_palindrome_cst(capsys):
 
 
 def test_factor_palindrome_inadmissible(capsys):
-    code, _, err = run(capsys, "factor-palindrome", "--curves", "a^1")
-    assert code == 2
+    assert run(capsys, "factor-palindrome", "--curves", "a^1") == (
+        2, "", "inadmissible: input curve a is not invariant under s\n"
+    )
+
+
+@pytest.mark.parametrize("fmt, expected", [
+    ("json", '{\n  "relations": [\n    {\n      "relation": "1 = 2",\n'
+             '      "ok": false\n    }\n  ],\n  "all_ok": false\n}\n'),
+    ("text", "FAIL  1 = 2\nall_ok: False\n"),
+])
+def test_failing_relation_exits_1_after_its_document(capsys, monkeypatch, fmt, expected):
+    monkeypatch.setattr(cli, "verify_relations",
+                        lambda max_exp: [{"relation": "1 = 2", "ok": False}])
+    assert run(capsys, "verify", "--relations", "--format", fmt) == (1, expected, "")
 
 
 def test_no_command_is_usage_error(capsys):
@@ -807,6 +824,25 @@ def test_emit_prints_nothing_past_digit_limit(before, after, depth, sign):
 
 
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def _exit_code_sites(node) -> list:
+    """The reads of an `EXIT_*` name and the string parts that hold
+    "inadmissible: " under `node`."""
+    return [n for n in ast.walk(node)
+            if isinstance(n, ast.Name) and n.id.startswith("EXIT_")
+            and isinstance(n.ctx, ast.Load)
+            or isinstance(n, ast.Constant) and "inadmissible: " in str(n.value)]
+
+
+def test_only_main_turns_an_outcome_into_an_exit_code():
+    # each command returns its verdict or raises; `main` alone maps that
+    # to an exit code and prints the `inadmissible: ` prefix
+    with open(cli.__file__) as fh:
+        tree = ast.parse(fh.read())
+    (main_def,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "main"]
+    assert [n for n in tree.body if n is not main_def and _exit_code_sites(n)] == []
+    assert len(_exit_code_sites(main_def)) == 6
 
 
 @pytest.mark.parametrize("command", [

@@ -29,7 +29,6 @@ from eqsurg.surgery import (
     word_to_diagram,
 )
 from eqsurg.words import (
-    CST,
     CURVE_AMB,
     CURVE_APB,
     EquivariantShape,
@@ -200,7 +199,7 @@ def test_legalize_key_separates_roles(runs):
         SurgeryKnot(0, CURVE_APB, -1, TorusType.C3, count),
     )
     # one pair (a+b)^-1: the word (a+b)^-1 (a+b)^-1 | cst split at t = 1
-    pair = EquivariantShape(TwistWord.of([(CURVE_APB, -1)] * 2, base=CST), 1, ())
+    pair = EquivariantShape(TwistWord.of([(CURVE_APB, -1)] * 2, cst=True), 1, ())
     d = SurgeryDiagram(knots, pair)
     c = legalize(d)
     alone = tuple(_knot_data(k) for k in knots)

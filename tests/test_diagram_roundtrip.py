@@ -35,7 +35,7 @@ def diagram_word(diagram) -> TwistWord:
             factors.append((knot.curve, knot.coeff * knot.count))
         else:
             factors.append((knot.curve, -knot.coeff))
-    return TwistWord.of(factors, base=CST)
+    return TwistWord.of(factors, cst=True)
 
 
 def test_census_diagrams_evaluate_to_target():
@@ -65,6 +65,6 @@ def test_random_mirrored_word_diagram_evaluates_to_word(outer, middle_curve, run
     # outer * middle * mirrored outer over the standard base; the middle is
     # runs along one invariant curve, so every such word has a valid shape
     mirrored = [(curve.image_under(CST), e) for curve, e in reversed(outer)]
-    word = TwistWord.of(outer + [(middle_curve, m) for m in runs] + mirrored, base=CST)
+    word = TwistWord.of(outer + [(middle_curve, m) for m in runs] + mirrored, cst=True)
     diagram = word_to_diagram(validate_equivariant_shape(word))
     assert eval_word(diagram_word(diagram)) == eval_word(word)

@@ -115,6 +115,6 @@ def test_linking_determinant_is_the_word_matrix_entry(outer, middle_curve, runs)
     # for outer * middle * mirrored outer over the standard base, |det L|
     # is |M_21| of the word's matrix M, which is p for a lens word
     mirrored = [(curve.image_under(CST), e) for curve, e in reversed(outer)]
-    word = TwistWord.of(outer + [(middle_curve, m) for m in runs] + mirrored, base=CST)
+    word = TwistWord.of(outer + [(middle_curve, m) for m in runs] + mirrored, cst=True)
     diagram = word_to_diagram(validate_equivariant_shape(word))
     assert abs(linking_det(diagram)) == abs(eval_word(word).rows[1][0])

@@ -45,13 +45,15 @@ from eqsurg.words import (
     EquivariantShape,
     TwistWord,
     WordError,
+    factor_palindrome,
+    parse_word,
 )
 
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def _word():
-    return TwistWord(((((CURVE_B, 2), (CURVE_A, 2)), 2), (((CURVE_AMB, 1),), 1)), CST)
+    return TwistWord(((((CURVE_B, 2), (CURVE_A, 2)), 2), (((CURVE_AMB, 1),), 1)), True)
 
 
 def _knot():
@@ -115,9 +117,7 @@ def test_record_contract(name):
      "twist factor exponent must be nonzero"),
     (lambda: TwistWord(((((CURVE_A, 1),), 1),), genus=2), WordError,
      "curve (1, 0) does not match genus 2"),
-    (lambda: TwistWord((), IntMatrix(((1, 0), (0, 1)))), WordError,
-     "base must be the standard real structure cst"),
-    (lambda: TwistWord((), CST, 2), WordError,
+    (lambda: TwistWord((), True, 2), WordError,
      "base acts at genus 1 but the word lies at genus 2"),
     (lambda: SurgerySpec(1, 1, 1, 1), SurgeryError,
      "invalid gluing data: p*q' - q*p' = 0, expected -1"),
@@ -143,11 +143,23 @@ def test_validation_runs_for_keywords_too():
 
 def test_twist_word_inequality_negates_equality():
     # one word cut into runs two ways: equal as words, unequal as tuples
-    flat = TwistWord.of(_word().factors, CST)
+    flat = TwistWord.of(_word().factors, True)
     assert tuple(flat) != tuple(_word())
     assert flat == _word() and not flat != _word() and hash(flat) == hash(_word())
-    other = TwistWord.of(_word().factors[1:], CST)
+    other = TwistWord.of(_word().factors[1:], True)
     assert other != _word() and not other == _word()
+
+
+def test_twist_word_holds_its_base_as_a_flag():
+    # every word the package makes holds (runs, cst, genus): a bool flag
+    # for the one base CST, and no matrix
+    words = [parse_word("a^1 | cst"), parse_word("v[1,0,1,0]^1", genus=2),
+             build(8, 3, Variant.C_PRIME).word, catalog_s1xs2()[2].word,
+             factor_palindrome([CURVE_APB], [1], CST)]
+    for w in words:
+        assert w._fields == ("runs", "cst", "genus")
+        assert [type(x) for x in w[1:]] == [bool, int]
+    assert [w.cst for w in words] == [True, False, True, True, False]
 
 
 def test_cont_frac_len_is_its_term_count():

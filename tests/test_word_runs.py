@@ -65,9 +65,9 @@ def shape_flat(fs):
     return fs[:t], mid, fs[n - t:]
 
 
-def product_flat(fs, base, genus):
+def product_flat(fs, cst, genus):
     """The word's matrix: one twist matrix x -> x + e <c, x> c per flat
-    factor, multiplied by `matmul_reference`, then the base."""
+    factor, multiplied by `matmul_reference`, then `CST` if `cst`."""
     dim = 2 * genus
     j = form_matrix(genus).rows
     m = IntMatrix.identity(dim)
@@ -77,7 +77,7 @@ def product_flat(fs, base, genus):
         t = IntMatrix(tuple(tuple(int(r == col) + e * c[r] * w[col] for col in range(dim))
                             for r in range(dim)))
         m = matmul_reference(m, t)
-    return m if base is None else matmul_reference(m, base)
+    return matmul_reference(m, CST) if cst else m
 
 
 # the pattern's factors, other factors on the same curves, and the two
@@ -106,9 +106,8 @@ a_, apb, b_ = PATTERN
 @example(_runs((((CURVE_B, 2), a_), 5), ((apb, b_), 1)), True, None)
 @example(_runs(((a_,), 1), ((apb,), 1), ((b_,), 7)), True, None)
 @example(_runs((((CURVE_B, 2),), 4), ((b_, a_, apb), 4), ((b_,), 1)), False, None)
-def test_run_word_matches_its_flat_factors(runs, with_base, data):
-    base = CST if with_base else None
-    w = TwistWord(runs, base)
+def test_run_word_matches_its_flat_factors(runs, cst, data):
+    w = TwistWord(runs, cst)
     fs = w.factors
     at = find_fix_rule(w)
     assert at == fix_rule_flat(fs)
@@ -120,10 +119,10 @@ def test_run_word_matches_its_flat_factors(runs, with_base, data):
                 apply_fix_rule(w, i)
         else:
             out = apply_fix_rule(w, i)
-            assert (out.factors, out.base) == (expected, base)
+            assert (out.factors, out.cst) == (expected, cst)
             assert eval_word(out) == eval_word(w)
-    assert eval_word(w) == product_flat(fs, base, 1)
-    flat = TwistWord.of(fs, base=base)
+    assert eval_word(w) == product_flat(fs, cst, 1)
+    flat = TwistWord.of(fs, cst=cst)
     assert flat == w and hash(flat) == hash(w)
 
 
@@ -162,7 +161,7 @@ def test_mirrored_run_word_shape_matches_the_flat_walk(left, middle, mutation):
         else:
             c, e = block[0]
             runs[j] = (((CURVE_A if c != CURVE_A else CURVE_B, e),) + block[1:], k)
-    w = TwistWord(tuple(runs), CST)
+    w = TwistWord(tuple(runs), True)
     expected = shape_flat(w.factors)
     try:
         shape = validate_equivariant_shape(w)
@@ -183,14 +182,14 @@ _G2_CURVE = st.lists(st.integers(-2, 2), min_size=4, max_size=4).filter(any).map
 ), max_size=3).map(tuple))
 def test_genus2_run_word_evaluates_like_its_flat_factors(runs):
     w = TwistWord(runs, genus=2)
-    assert eval_word(w) == product_flat(w.factors, None, 2)
+    assert eval_word(w) == product_flat(w.factors, False, 2)
 
 
 def test_words_with_the_same_factors_are_equal():
-    # equal exactly when the flat factors, base and genus are
+    # equal exactly when the flat factors, flag and genus are
     for p, q in [(13, 12), (984, 655), (120, 71)]:
         w = factor_C(p, q)
-        flat = TwistWord.of(w.factors, base=CST)
+        flat = TwistWord.of(w.factors, cst=True)
         assert flat == w and hash(flat) == hash(w)
         assert TwistWord.of(w.factors) != w  # no base
     block = ((CURVE_B, 2), (CURVE_A, 2))

@@ -44,8 +44,8 @@ from conftest import (
 )
 
 
-def tw(*factors, base=None):
-    return TwistWord.of(list(factors), base=base)
+def tw(*factors, cst=False):
+    return TwistWord.of(list(factors), cst=cst)
 
 
 def test_eval_applies_rightmost_first():
@@ -66,7 +66,7 @@ def eval_reference(w: TwistWord) -> IntMatrix:
     m = IntMatrix.identity(2)
     for curve, e in w.factors:
         m = matmul_reference(m, twist_reference(curve, e))
-    return m if w.base is None else matmul_reference(m, w.base)
+    return matmul_reference(m, CST) if w.cst else m
 
 
 genus1_factors = st.lists(
@@ -80,8 +80,8 @@ genus1_factors = st.lists(
 
 @settings(max_examples=200, deadline=None)
 @given(genus1_factors, st.booleans())
-def test_genus1_eval_matches_reference(factors, with_base):
-    w = tw(*factors, base=CST if with_base else None)
+def test_genus1_eval_matches_reference(factors, cst):
+    w = tw(*factors, cst=cst)
     assert eval_word(w) == eval_reference(w)
 
 
@@ -125,27 +125,8 @@ def test_higher_genus_eval_matches_transvection_product(w):
 
 
 def test_base_is_rightmost_factor():
-    w = tw((CURVE_AMB, -1), base=CST)
+    w = tw((CURVE_AMB, -1), cst=True)
     assert eval_word(w) == IntMatrix.from_rows([[-1, 0], [2, 1]])
-
-
-def test_base_must_be_anti_symplectic_involution():
-    with pytest.raises(WordError):
-        TwistWord.of([(CURVE_A, 1)], base=IntMatrix.from_rows([[1, 1], [0, 1]]))
-
-
-def test_base_other_than_cst_rejected():
-    # [[1, 1], [0, -1]] is a genus-1 real structure, but not the standard one
-    with pytest.raises(WordError, match="^base must be the standard real structure cst$"):
-        TwistWord.of([(CURVE_APB, 1)], base=IntMatrix.from_rows([[1, 1], [0, -1]]))
-
-
-def test_base_equal_to_cst_accepted():
-    # compared by value: a swap matrix built apart from CST is CST
-    swap = IntMatrix.from_rows([[0, 1], [1, 0]])
-    w = TwistWord.of([(CURVE_APB, 1)], base=swap)
-    assert w == TwistWord.of([(CURVE_APB, 1)], base=CST)
-    assert format_word(w) == "(a+b)^1 | cst"
 
 
 def test_cst_at_higher_genus_rejected():
@@ -192,8 +173,8 @@ def test_parse_format_roundtrip_random(data):
             max_size=6,
         )
     )
-    base = data.draw(st.sampled_from([None] + ([CST] if genus == 1 else [])))
-    w = TwistWord.of(factors, base=base, genus=genus)
+    cst = data.draw(st.sampled_from([False] + ([True] if genus == 1 else [])))
+    w = TwistWord.of(factors, cst=cst, genus=genus)
     assert parse_word(format_word(w), genus=genus) == w
 
 
@@ -304,7 +285,7 @@ def test_shape_mutation_is_detected(seed):
         w.factors[:idx]
         + ((curve, e + delta),)
         + w.factors[idx + 1 :],
-        w.base,
+        w.cst,
         w.genus,
     )
     changed = eval_word(mutated) != original
@@ -316,9 +297,9 @@ def test_shape_mutation_is_detected(seed):
     assert changed or not shape_ok
 
 
-def _split_error(mid, base):
+def _split_error(mid):
     for c, e in mid:
-        if c.image_under(base) != c:
+        if c.image_under(CST) != c:
             return (
                 f"factor {curve_name(c)}^{e}: curve is not "
                 "base-invariant and has no mirror partner"
@@ -335,12 +316,12 @@ def _shape_every_split(w):
     fs, n = w.factors, len(w.factors)
     t_max = 0
     while t_max < n // 2 and fs[n - 1 - t_max] == (
-        fs[t_max][0].image_under(w.base), fs[t_max][1]
+        fs[t_max][0].image_under(CST), fs[t_max][1]
     ):
         t_max += 1
     errors = []
     for t in range(t_max, -1, -1):
-        error = _split_error(fs[t:n - t], w.base)
+        error = _split_error(fs[t:n - t])
         if error is None:
             return fs[:t], fs[t:n - t], fs[n - t:]
         errors.append(error)
@@ -375,7 +356,7 @@ def test_shape_single_split_matches_every_split(outer, middle, data):
                + [(c.image_under(CST), e) for c, e in reversed(outer)])
     if factors and data.draw(st.booleans(), label="perturb"):
         factors[data.draw(st.integers(0, len(factors) - 1))] = data.draw(_G1_FACTOR)
-    w = TwistWord.of(factors, base=CST)
+    w = TwistWord.of(factors, cst=True)
     expected = _shape_every_split(w)
     try:
         shape = validate_equivariant_shape(w)
@@ -425,13 +406,13 @@ def test_shape_mirror_walk_slices(left, middle_curve, middle_exps, mutation):
     # at genus 1 the cst-invariant curves are a+b and a-b, and two distinct
     # curves always intersect
     if mid_curves <= {CURVE_APB} or mid_curves <= {CURVE_AMB}:
-        shape = validate_equivariant_shape(TwistWord.of(fs, CST))
+        shape = validate_equivariant_shape(TwistWord.of(fs, True))
         assert shape.outer == fs[:t]
         assert shape.middle == fs[t:n - t]
         assert shape.mirror == fs[n - t:]
     else:
         with pytest.raises(ShapeError):
-            validate_equivariant_shape(TwistWord.of(fs, CST))
+            validate_equivariant_shape(TwistWord.of(fs, True))
 
 
 # --- recursive invariance ----------------------------------------------------
@@ -535,9 +516,7 @@ def test_recursive_invariance_rejects_genus_mismatch():
 )
 def test_real_structure_checked_alike(s, text):
     # the recursive-invariance structure and the palindrome structure go
-    # through one check with one set of error texts; a word takes CST alone
-    with pytest.raises(WordError, match="^base must be the standard real structure cst$"):
-        TwistWord.of([(CURVE_APB, 1)], base=s)
+    # through one check with one set of error texts
     with pytest.raises(WordError, match=f"^{text}$"):
         validate_recursive_invariance(tw((CURVE_APB, 1)), s)
     with pytest.raises(WordError, match=f"^{text}$"):
@@ -812,7 +791,7 @@ def test_factor_palindrome_matches_prefix_matrix(g, seed, exps):
     curves = [random_invariant_curve(s, g, rng, rng.choice([1, -1])) for _ in exps]
     out = factor_palindrome(curves, exps, s)
     assert out.factors == factor_palindrome_reference(curves, exps, s).factors
-    assert out.genus == g and out.base is None
+    assert out.genus == g and out.cst is False
 
 
 # --- fix rule ----------------------------------------------------------------
