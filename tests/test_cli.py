@@ -448,7 +448,6 @@ def _any_argv(draw):
 @example(["lens", "--p", "5", "--q", "4"])  # exit 0 from the command
 @example(["verify", "--word", "a^1", "--expect", "[[1,0],[0,1]]"])  # exit 1
 @example(["factor-palindrome", "--curves", "a^1"])  # exit 2
-@example(["catalog", "typeA", "--p", "3", "--q", "1"])
 def test_dispatch_matches_the_top_level_parse(argv):
     assert _outcome(main, argv) == _outcome(_parse_twice, argv)
 
