@@ -271,7 +271,6 @@ class BuildReport(NamedTuple):
 
     def census_row(self) -> dict:
         """The verdicts without the diagrams, plus the expansion case n = 4k + r."""
-        contact = self.contact
         n = len(self.cf)
         return {
             "p": self.target.p,
@@ -279,10 +278,10 @@ class BuildReport(NamedTuple):
             "variant": self.target.variant.value,
             "case": f"n={n} (4k+{n % 4})",
             "matrix_ok": self.matrix_ok,
-            "shape_ok": contact is not None,
-            "legal": contact is not None and contact.overall_legal,
+            "shape_ok": self.shape_ok,
+            "legal": self.legal,
             "fix_rule_applied": self.fix_rule_applied,
-            "flags": [] if contact is None else contact.flags(),
+            "flags": self.flags,
         }
 
     def to_json_dict(self) -> dict:

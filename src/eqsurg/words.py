@@ -95,9 +95,11 @@ class TwistWord(namedtuple("TwistWord", "runs cst genus")):
     (block, k), followed by the base `CST` when `cst` is true.
 
     Run (block, k) stands for the block's factors repeated k >= 1 times.
-    `CST` acts at genus 1 only.  Two words are equal, and hash equal, when
-    their flat factors, flags and genera are, however the factors are cut
-    into runs; `!=` is the negation of that `==`, not the tuple comparison.
+    `cst` is a bool: any other value, `CST` itself included, is a
+    `WordError`.  `CST` acts at genus 1 only.  Two words are equal, and
+    hash equal, when their flat factors, flags and genera are, however the
+    factors are cut into runs; `!=` is the negation of that `==`, not the
+    tuple comparison.
     """
 
     __slots__ = ()
@@ -105,6 +107,8 @@ class TwistWord(namedtuple("TwistWord", "runs cst genus")):
     def __new__(cls, runs: tuple[Run, ...], cst: bool = False, genus: int = 1) -> "TwistWord":
         if genus < 1:
             raise WordError(f"genus must be at least 1, got {genus}")
+        if type(cst) is not bool:
+            raise WordError(f"cst is a bool flag, got {type(cst).__name__}")
         dim = 2 * genus
         for block, k in runs:
             if k < 1:

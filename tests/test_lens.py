@@ -196,7 +196,19 @@ def test_build_report_without_shape():
     doc = r.to_json_dict()
     assert doc["diagram"] is None and doc["contact"] is None
     assert doc["shape_ok"] is False and doc["legal"] is False
-    assert r.census_row()["shape_ok"] is False
+    row = r.census_row()
+    assert row["shape_ok"] is False and row["legal"] is False and row["flags"] == []
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_census_row_and_document_agree(variant):
+    # each verdict has one definition, so both views of a build print it alike
+    for p, q in admissible_pairs(60):
+        r = build(p, q, variant)
+        row, doc = r.census_row(), r.to_json_dict()
+        for key in ("matrix_ok", "shape_ok", "legal", "fix_rule_applied"):
+            assert row[key] is doc[key], (p, q, key)
+        assert list(row["flags"]) == list(doc["flags"]), (p, q)
 
 
 def test_middle_legality_trichotomy_small_census():

@@ -134,6 +134,15 @@ def test_cst_at_higher_genus_rejected():
         parse_word("v[1,0,1,0] | cst", genus=2)
 
 
+def test_cst_must_be_a_bool():
+    """The old positional base, and any other non-bool flag, fails loudly
+    instead of building a word unequal to the one with cst=True."""
+    with pytest.raises(WordError, match="^cst is a bool flag, got IntMatrix$"):
+        TwistWord.of([(CURVE_A, 1)], CST)
+    with pytest.raises(WordError, match="^cst is a bool flag, got int$"):
+        TwistWord(((((CURVE_A, 1),), 1),), 1)
+
+
 def test_zero_exponent_rejected():
     with pytest.raises(WordError):
         tw((CURVE_A, 0))
