@@ -108,19 +108,19 @@ def _encode(obj, indent: str, out: list) -> None:
     The types are dicts with str keys, lists, tuples, str, int, bool and
     None: any other is a TypeError, and an int past the digit limit a
     ValueError.  No container joins its children's text, so a nested
-    document is not copied again at each level.  Every dict value goes
-    through the same dispatch as any other value.  A list of exact ints
-    is one chunk (its first item is tested before the list is scanned, so
-    a list of documents is not).  A `RunList` is encoded run by run, where
-    the stdlib's indented (pure-Python) encoder encodes every copy.  Run
-    (item, k) is encoded once, as one string t (its chunks would each stay
-    alive as an object), and emitted as t and sep when k = 1.  A longer
-    run is emitted as q references to one block, (t + sep) * m, then
-    (t + sep) * r, t and sep, with q, r = divmod(k - 1, m) and m the most
-    copies that fit in `_BLOCK_CHARS` (at least one, so a longer copy
-    still goes out whole, and at most k - 1).  So no run costs more than
-    one block and one remainder, whatever k.  Any other list is encoded
-    item by item.
+    document is not copied again at each level.  A dict value whose type
+    is exactly str or int shares its key's chunk, and a list of exact
+    ints is one chunk (its first item is tested before the list is
+    scanned, so a list of documents is not).  A `RunList` is encoded run
+    by run, where the stdlib's indented (pure-Python) encoder encodes
+    every copy.  Run (item, k) is encoded once, as one string t (its
+    chunks would each stay alive as an object), and emitted as t and sep
+    when k = 1.  A longer run is emitted as q references to one block,
+    (t + sep) * m, then (t + sep) * r, t and sep, with q, r =
+    divmod(k - 1, m) and m the most copies that fit in `_BLOCK_CHARS`
+    (at least one, so a longer copy still goes out whole, and at most
+    k - 1).  So no run costs more than one block and one remainder,
+    whatever k.  Any other list is encoded item by item.
     """
     if isinstance(obj, str):
         out.append(encode_basestring_ascii(obj))
@@ -169,8 +169,15 @@ def _encode(obj, indent: str, out: list) -> None:
         for key, value in obj.items():
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            out.append(lead + encode_basestring_ascii(key) + ": ")
-            _encode(value, inner, out)
+            head = lead + encode_basestring_ascii(key) + ": "
+            kind = type(value)
+            if kind is str:
+                out.append(head + encode_basestring_ascii(value))
+            elif kind is int:
+                out.append(head + int.__repr__(value))
+            else:
+                out.append(head)
+                _encode(value, inner, out)
             lead = sep
         out.append("\n" + indent + "}")
     else:

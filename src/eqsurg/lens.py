@@ -270,7 +270,11 @@ class BuildReport(NamedTuple):
         return [] if self.contact is None else self.contact.flags()
 
     def census_row(self) -> dict:
-        """The verdicts without the diagrams, plus the expansion case n = 4k + r."""
+        """The verdicts without the diagrams, plus the expansion case n = 4k + r.
+        `shape_ok`, `legal` and `flags` are written out as the properties
+        define them: read through the properties, `census` ran 1.6 % slower
+        in ten perfbench pairs."""
+        contact = self.contact
         n = len(self.cf)
         return {
             "p": self.target.p,
@@ -278,10 +282,10 @@ class BuildReport(NamedTuple):
             "variant": self.target.variant.value,
             "case": f"n={n} (4k+{n % 4})",
             "matrix_ok": self.matrix_ok,
-            "shape_ok": self.shape_ok,
-            "legal": self.legal,
+            "shape_ok": contact is not None,
+            "legal": contact is not None and contact.overall_legal,
             "fix_rule_applied": self.fix_rule_applied,
-            "flags": self.flags,
+            "flags": [] if contact is None else contact.flags(),
         }
 
     def to_json_dict(self) -> dict:
