@@ -270,10 +270,7 @@ class BuildReport(NamedTuple):
         return [] if self.contact is None else self.contact.flags()
 
     def census_row(self) -> dict:
-        """The verdicts without the diagrams, plus the expansion case n = 4k + r.
-        `shape_ok`, `legal` and `flags` are written out as the properties
-        define them: read through the properties, `census` ran 1.6 % slower
-        in ten perfbench pairs."""
+        """The verdicts without the diagrams, plus the expansion case n = 4k + r."""
         contact = self.contact
         n = len(self.cf)
         return {

@@ -136,11 +136,11 @@ class SymplecticForm(NamedTuple):
 
 
 def shear(v: tuple, e: int, x: Sequence[int], y: Sequence[int]) -> tuple:
-    """v + e (v . x) y, always a new tuple.  The twist T along c maps a
-    column v to shear(v, e, dual(c), c), and a row of m to that row of
-    m @ T by shear(row, e, c, dual(c))."""
+    """v + e (v . x) y, or v itself when v . x = 0.  The twist T along c
+    maps a column v to shear(v, e, dual(c), c), and a row of m to that row
+    of m @ T by shear(row, e, c, dual(c))."""
     k = e * sum(map(mul, v, x))
-    return tuple(map(add, v, [k * t for t in y]))
+    return tuple(map(add, v, [k * t for t in y])) if k else v
 
 
 def dual(c: Sequence[int]) -> tuple:

@@ -95,11 +95,9 @@ class TwistWord(namedtuple("TwistWord", "runs cst genus")):
     (block, k), followed by the base `CST` when `cst` is true.
 
     Run (block, k) stands for the block's factors repeated k >= 1 times.
-    `cst` is a bool: any other value, `CST` itself included, is a
-    `WordError`.  `CST` acts at genus 1 only.  Two words are equal, and
-    hash equal, when their flat factors, flags and genera are, however the
-    factors are cut into runs; `!=` is the negation of that `==`, not the
-    tuple comparison.
+    `cst` is a bool, true at genus 1 only.  Words are equal, and hash
+    equal, when their flat factors, flags and genera are, however cut
+    into runs; `!=` is the negation of that `==`, not the tuple comparison.
     """
 
     __slots__ = ()
